@@ -7,6 +7,7 @@ zero probability, 4 when an internal invariant check fails.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .cloner import ImpossibleBranchError, MachineBranch
@@ -90,7 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from_args(args: argparse.Namespace) -> WParams:
-    norm_sq = args.alpha**2 + args.beta**2 + args.gamma**2
+    # hypot and a product, not **2: huge amplitudes give inf, never OverflowError.
+    norm = math.hypot(args.alpha, args.beta, args.gamma)
+    norm_sq = norm * norm
     if abs(norm_sq - 1.0) > CLI_NORM_TOLERANCE:
         raise ValueError(
             f"alpha^2 + beta^2 + gamma^2 = {norm_sq:.6f}; amplitudes must "

@@ -13,6 +13,7 @@ machine wires in the up/down basis selects a branch of the protocol.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -84,8 +85,10 @@ class CloneAssignment:
             raise ValueError("clone assignment wires must be distinct")
 
 
+@functools.cache
 def bh_isometry() -> Operator:
-    """The cloning isometry as an unbound operator from 1 qubit to 3 wires."""
+    """The cloning isometry as an unbound operator from 1 qubit to 3 wires.
+    Built and checked once; every call returns the same immutable operator."""
     heavy = math.sqrt(2.0 / 3.0)
     light = math.sqrt(1.0 / 6.0)
     m = np.zeros((8, 2), dtype=complex)
@@ -99,13 +102,17 @@ def bh_isometry() -> Operator:
     return Operator(m)
 
 
-def clone_qubit(state: StateVector, assignment: CloneAssignment) -> StateVector:
-    """Clone one wire of the register, growing it by a clone and a machine wire."""
-    op = bh_isometry().bound_to(
+@functools.lru_cache(maxsize=64)
+def _bound_isometry(assignment: CloneAssignment) -> Operator:
+    return bh_isometry().bound_to(
         (assignment.source,),
         (assignment.source, assignment.clone, assignment.machine),
     )
-    return apply_to_targets(state, op, (assignment.source,))
+
+
+def clone_qubit(state: StateVector, assignment: CloneAssignment) -> StateVector:
+    """Clone one wire of the register, growing it by a clone and a machine wire."""
+    return apply_to_targets(state, _bound_isometry(assignment), (assignment.source,))
 
 
 def measure_machines(

@@ -35,8 +35,9 @@ from .registers import (
     StateVector,
     apply_to_targets,
     partial_trace,
+    partial_trace_stack,
 )
-from .separability import ENTANGLED, SEPARABLE, PairVerdict, ppt_verdict
+from .separability import ENTANGLED, SEPARABLE, PairVerdict, ppt_verdict, ppt_verdicts
 
 _D = QubitLabel.data
 _M = QubitLabel.machine
@@ -179,14 +180,22 @@ def prepare_w(params: WParams) -> StateVector:
     return StateVector((_D(1), _D(2), _D(3)), amps)
 
 
-def _require_register(state: StateVector, expected: set[QubitLabel], stage: str) -> None:
+_ROUND_ONE_WIRES = frozenset(_D(i) for i in (1, 2, 3))
+_ROUND_TWO_WIRES = frozenset(_D(i) for i in range(1, 7))
+_DATA_WIRES = frozenset(_D(i) for i in range(1, 10))
+_FIVE_QUBIT_WIRES = frozenset(_D(i) for i in (1, 5, 8, 6, 9))
+
+
+def _require_register(
+    state: StateVector, expected: frozenset[QubitLabel], stage: str
+) -> None:
     if set(state.labels) != expected:
         raise ValueError(f"{stage} expects register {sorted(l.name for l in expected)}")
 
 
 def round_one(state: StateVector) -> StateVector:
     """Clone qubits 1, 2, 3 onto 4, 5, 6 with machines MA1, MB1, MC1."""
-    _require_register(state, {_D(i) for i in (1, 2, 3)}, "round_one")
+    _require_register(state, _ROUND_ONE_WIRES, "round_one")
     for assignment in ROUND_ONE_ASSIGNMENTS:
         state = clone_qubit(state, assignment)
     return state
@@ -194,7 +203,7 @@ def round_one(state: StateVector) -> StateVector:
 
 def round_two(state: StateVector) -> StateVector:
     """Clone qubits 4, 5, 6 onto 7, 8, 9 with machines MA2, MB2, MC2."""
-    _require_register(state, {_D(i) for i in range(1, 7)}, "round_two")
+    _require_register(state, _ROUND_TWO_WIRES, "round_two")
     for assignment in ROUND_TWO_ASSIGNMENTS:
         state = clone_qubit(state, assignment)
     return state
@@ -230,7 +239,7 @@ _UNITARY_STAGE = (
 
 def apply_local_unitaries(state: StateVector) -> StateVector:
     """Apply the local dressing stage (X on 4 and 7, Y on 2 and 3)."""
-    _require_register(state, {_D(i) for i in range(1, 10)}, "apply_local_unitaries")
+    _require_register(state, _DATA_WIRES, "apply_local_unitaries")
     for op, wire in _UNITARY_STAGE:
         state = apply_to_targets(state, op, (wire,))
     return state
@@ -238,30 +247,35 @@ def apply_local_unitaries(state: StateVector) -> StateVector:
 
 def five_qubit_state(state: StateVector) -> DensityMatrix:
     """Reduced state of qubits (1, 5, 8, 6, 9), the broadcast payload."""
-    _require_register(state, {_D(i) for i in range(1, 10)}, "five_qubit_state")
-    return partial_trace(state, {_D(i) for i in (1, 5, 8, 6, 9)})
+    _require_register(state, _DATA_WIRES, "five_qubit_state")
+    return partial_trace(state, _FIVE_QUBIT_WIRES)
 
 
 def pair_states(state: StateVector) -> dict[str, DensityMatrix]:
     """Reduced states of all reported qubit pairs, keyed like '15', in report order."""
-    _require_register(state, {_D(i) for i in range(1, 10)}, "pair_states")
+    _require_register(state, _DATA_WIRES, "pair_states")
     return {
         pair_key(pair): partial_trace(state, {_D(pair[0]), _D(pair[1])})
         for pair in ALL_PAIRS
     }
 
 
+_PAIR_KEYS = tuple(pair_key(pair) for pair in ALL_PAIRS)
+_PAIR_LABELS = tuple((_D(a), _D(b)) for a, b in ALL_PAIRS)
+_PAIR_CLAIMS = tuple(PAPER_CLAIMS[key] for key in _PAIR_KEYS)
+_PAIR_NAMES = tuple(f"pair {key}" for key in _PAIR_KEYS)
+
+
 def pair_verdicts(state: StateVector) -> dict[str, PairVerdict]:
-    """Separability verdicts for all reported pairs, claims attached."""
-    verdicts = {}
-    for pair, rho in zip(ALL_PAIRS, pair_states(state).values()):
-        key = pair_key(pair)
-        verdicts[key] = ppt_verdict(
-            rho,
-            pair=(_D(pair[0]), _D(pair[1])),
-            paper_claim=PAPER_CLAIMS[key],
-        )
-    return verdicts
+    """Separability verdicts for all reported pairs, claims attached.
+
+    The eleven reductions are validated together and classified together:
+    one stacked spectrum for the state checks, one for the partial
+    transposes.
+    """
+    _require_register(state, _DATA_WIRES, "pair_verdicts")
+    rhos = partial_trace_stack(state, _PAIR_LABELS, _PAIR_NAMES)
+    return dict(zip(_PAIR_KEYS, ppt_verdicts(rhos, _PAIR_LABELS, _PAIR_CLAIMS)))
 
 
 def broadcast_verdict(pairs: Mapping[str, PairVerdict]) -> bool:
@@ -321,8 +335,8 @@ def run_protocol(config: ProtocolConfig) -> Transcript:
     selected2, p2 = branch_select(cloned2, config.branch2)
     final = apply_local_unitaries(selected2) if config.apply_unitaries else selected2
 
+    # The constructor has validated the five-qubit state; its spectrum is kept.
     five = five_qubit_state(final)
-    five.validate()
     verdicts = pair_verdicts(final)
     ok = broadcast_verdict(verdicts)
     views, messages = classical_exchange(config.branch1, config.branch2)

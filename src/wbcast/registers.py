@@ -10,7 +10,9 @@ second storage format.  All values are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+import functools
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,6 +21,10 @@ import numpy as np
 # Hermiticity), 1e-10 for positive-semidefinite / zero classification.
 ATOL_ALGEBRA = 1e-12
 ATOL_PSD = 1e-10
+
+# Wire plans (label checks, axes, permutations) are cached per label layout;
+# the protocol uses a few dozen layouts, so this bound is never reached there.
+_PLAN_CACHE_SIZE = 256
 
 PARTIES = ("A", "B", "C")
 
@@ -195,23 +201,32 @@ class Operator:
         dev = float(np.max(np.abs(gram - np.eye(cols))))
         if dev > ATOL_ALGEBRA:
             raise ValueError(f"matrix is not an isometry (max |M^dag M - I| = {dev:.3e})")
-        if self.in_labels is not None and len(self.in_labels) != n_in:
-            raise ValueError("in_labels length does not match matrix shape")
-        if self.out_labels is not None and len(self.out_labels) != n_out:
-            raise ValueError("out_labels length does not match matrix shape")
         object.__setattr__(self, "matrix", m)
-        if self.in_labels is not None:
-            object.__setattr__(self, "in_labels", tuple(self.in_labels))
-        if self.out_labels is not None:
-            object.__setattr__(self, "out_labels", tuple(self.out_labels))
+        self._bind(self.in_labels, self.out_labels)
+
+    def _bind(
+        self,
+        in_labels: Sequence[QubitLabel] | None,
+        out_labels: Sequence[QubitLabel] | None,
+    ) -> None:
+        if in_labels is not None:
+            in_labels = tuple(in_labels)
+            if len(in_labels) != self.n_in:
+                raise ValueError("in_labels length does not match matrix shape")
+        if out_labels is not None:
+            out_labels = tuple(out_labels)
+            if len(out_labels) != self.n_out:
+                raise ValueError("out_labels length does not match matrix shape")
+        object.__setattr__(self, "in_labels", in_labels)
+        object.__setattr__(self, "out_labels", out_labels)
 
     @property
     def n_in(self) -> int:
-        return int(np.log2(self.matrix.shape[1]))
+        return self.matrix.shape[1].bit_length() - 1
 
     @property
     def n_out(self) -> int:
-        return int(np.log2(self.matrix.shape[0]))
+        return self.matrix.shape[0].bit_length() - 1
 
     @property
     def is_unitary(self) -> bool:
@@ -220,7 +235,11 @@ class Operator:
     def bound_to(
         self, in_labels: Sequence[QubitLabel], out_labels: Sequence[QubitLabel]
     ) -> "Operator":
-        return Operator(self.matrix, tuple(in_labels), tuple(out_labels))
+        """The same matrix bound to wire names.  The matrix was checked when
+        this operator was built, so binding does not check it again."""
+        bound = copy.copy(self)
+        bound._bind(in_labels, out_labels)
+        return bound
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -234,6 +253,7 @@ class DensityMatrix:
 
     labels: tuple[QubitLabel, ...]
     rho: np.ndarray
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -245,26 +265,23 @@ class DensityMatrix:
             raise ValueError(f"matrix shape {rho.shape} does not fit {len(labels)} qubits")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "rho", rho)
-        self.validate()
+        spectrum = self.validate()
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "_spectrum", spectrum)
 
-    def validate(self) -> None:
-        """Re-check Hermiticity, unit trace and positivity; raise on failure."""
-        herm_dev = float(np.max(np.abs(self.rho - self.rho.conj().T)))
-        if herm_dev > ATOL_ALGEBRA:
-            raise InvariantViolation(f"density matrix not Hermitian (dev {herm_dev:.3e})")
-        trace_dev = abs(complex(np.trace(self.rho)) - 1.0)
-        if trace_dev > ATOL_ALGEBRA:
-            raise InvariantViolation(f"density matrix trace off by {trace_dev:.3e}")
-        low = float(np.min(np.linalg.eigvalsh(self.rho)))
-        if low < -ATOL_PSD:
-            raise InvariantViolation(f"density matrix has eigenvalue {low:.3e} < -{ATOL_PSD}")
+    def validate(self) -> np.ndarray:
+        """Re-check Hermiticity, unit trace and positivity; raise on failure.
+        Returns the ascending spectrum."""
+        name = "wires " + StateVector._names(self.labels)
+        return check_density_stack(self.rho[None], (name,))[0]
 
     @property
     def n_qubits(self) -> int:
         return len(self.labels)
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.rho)
+        """Ascending spectrum, computed once when the state was validated."""
+        return self._spectrum
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.rho @ self.rho)))
@@ -300,6 +317,75 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.labels + b.labels, np.kron(a.amps, b.amps))
 
 
+def check_density_stack(rhos: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """Check Hermiticity, unit trace and positivity of a stack of density
+    matrices (shape (k, d, d)) and return their ascending spectra (k, d).
+
+    The first failing member is named in the InvariantViolation, together
+    with the size of its deviation.
+    """
+    herm_dev = np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    for i in np.flatnonzero(herm_dev > ATOL_ALGEBRA):
+        raise InvariantViolation(
+            f"density matrix of {names[i]} not Hermitian (dev {herm_dev[i]:.3e})"
+        )
+    trace_dev = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
+    for i in np.flatnonzero(trace_dev > ATOL_ALGEBRA):
+        raise InvariantViolation(
+            f"density matrix of {names[i]} trace off by {trace_dev[i]:.3e}"
+        )
+    spectra = np.linalg.eigvalsh(rhos)
+    low = np.min(spectra, axis=-1)
+    for i in np.flatnonzero(low < -ATOL_PSD):
+        raise InvariantViolation(
+            f"density matrix of {names[i]} has eigenvalue {low[i]:.3e} < -{ATOL_PSD}"
+        )
+    return spectra
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _apply_plan(
+    labels: tuple[QubitLabel, ...],
+    targets: tuple[QubitLabel, ...],
+    n_in: int,
+    in_labels: tuple[QubitLabel, ...] | None,
+    out_labels: tuple[QubitLabel, ...] | None,
+    is_unitary: bool,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[QubitLabel, ...]]:
+    """Label checks, target axes, canonical permutation and result labels of
+    one operator application.  They depend on the label tuples only; a
+    failing plan raises and is therefore never cached."""
+    if len(set(targets)) != len(targets):
+        raise ValueError("duplicate target labels")
+    for t in targets:
+        if t not in labels:
+            raise ValueError(f"target {t} not in register")
+    if len(targets) != n_in:
+        raise ValueError(
+            f"operator acts on {n_in} qubits but {len(targets)} targets given"
+        )
+    if in_labels is not None and in_labels != targets:
+        raise ValueError("operator is bound to different input labels")
+
+    if is_unitary:
+        out_labels = targets
+    else:
+        if out_labels is None:
+            raise ValueError("isometry application requires bound output labels")
+        fresh = [l for l in out_labels if l not in targets]
+        for l in fresh:
+            if l in labels:
+                raise ValueError(f"fresh output label {l} already in register")
+        if len(set(out_labels)) != len(out_labels):
+            raise ValueError("duplicate output labels")
+
+    spectators = tuple(l for l in labels if l not in targets)
+    target_axes = tuple(labels.index(t) for t in targets)
+    labels_after = out_labels + spectators
+    perm = tuple(sorted(range(len(labels_after)), key=lambda i: labels_after[i].sort_key))
+    return target_axes, perm, tuple(labels_after[i] for i in perm)
+
+
 def apply_to_targets(
     state: StateVector, op: Operator, targets: Sequence[QubitLabel]
 ) -> StateVector:
@@ -311,75 +397,77 @@ def apply_to_targets(
     explicitly, never invented here).  The result is re-sorted to canonical
     label order.
     """
-    targets = tuple(targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError("duplicate target labels")
-    for t in targets:
-        if t not in state.labels:
-            raise ValueError(f"target {t} not in register")
-    if len(targets) != op.n_in:
-        raise ValueError(
-            f"operator acts on {op.n_in} qubits but {len(targets)} targets given"
-        )
-    if op.in_labels is not None and op.in_labels != targets:
-        raise ValueError("operator is bound to different input labels")
-
-    if op.is_unitary:
-        out_labels = targets
-    else:
-        if op.out_labels is None:
-            raise ValueError("isometry application requires bound output labels")
-        out_labels = op.out_labels
-        fresh = [l for l in out_labels if l not in targets]
-        for l in fresh:
-            if l in state.labels:
-                raise ValueError(f"fresh output label {l} already in register")
-        if len(set(out_labels)) != len(out_labels):
-            raise ValueError("duplicate output labels")
-
-    spectators = [l for l in state.labels if l not in targets]
-    target_axes = [state.axis(t) for t in targets]
-    m = op.matrix.reshape((2,) * (op.n_out + op.n_in))
-    out = np.tensordot(m, state.tensor(), axes=(list(range(op.n_out, op.n_out + op.n_in)), target_axes))
-
-    labels_after = tuple(out_labels) + tuple(spectators)
-    perm = sorted(range(len(labels_after)), key=lambda i: labels_after[i].sort_key)
-    new_labels = tuple(labels_after[i] for i in perm)
+    n_in, n_out = op.n_in, op.n_out
+    target_axes, perm, new_labels = _apply_plan(
+        state.labels, tuple(targets), n_in, op.in_labels, op.out_labels, op.is_unitary
+    )
+    m = op.matrix.reshape((2,) * (n_out + n_in))
+    out = np.tensordot(m, state.tensor(), axes=(list(range(n_out, n_out + n_in)), target_axes))
     return StateVector(new_labels, out.transpose(perm).reshape(-1))
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _trace_plan(
+    labels: tuple[QubitLabel, ...], keep: frozenset[QubitLabel]
+) -> tuple[tuple[QubitLabel, ...], tuple[int, ...]]:
+    """Kept labels in canonical order, and the axis order that puts the kept
+    axes (in that order) before the traced ones."""
+    if not keep:
+        raise ValueError("must keep at least one qubit")
+    for l in keep:
+        if l not in labels:
+            raise ValueError(f"label {l} not in register")
+    kept = canonical_order(keep)
+    kept_axes = tuple(labels.index(l) for l in kept)
+    traced_axes = tuple(i for i in range(len(labels)) if labels[i] not in keep)
+    return kept, kept_axes + traced_axes
+
+
+def _reduced_matrix(
+    state: StateVector | DensityMatrix, axes: tuple[int, ...], k: int
+) -> np.ndarray:
+    """Symmetrised reduced matrix over the first k of the given axes."""
+    n = state.n_qubits
+    if isinstance(state, StateVector):
+        m = state.tensor().transpose(axes).reshape(2 ** k, -1)
+        rho = m @ m.conj().T
+    else:
+        t = state.rho.reshape((2,) * (2 * n))
+        perm = axes + tuple(a + n for a in axes)
+        r = t.transpose(perm).reshape(2 ** k, -1, 2 ** k, 2 ** (n - k))
+        rho = np.trace(r, axis1=1, axis2=3)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def partial_trace(
     state: StateVector | DensityMatrix, keep: Iterable[QubitLabel]
 ) -> DensityMatrix:
     """Reduced density matrix over the kept wires, labels in canonical order."""
-    keep_set = set(keep)
-    if not keep_set:
-        raise ValueError("must keep at least one qubit")
-    for l in keep_set:
-        if l not in state.labels:
-            raise ValueError(f"label {l} not in register")
-    kept = canonical_order(keep_set)
-    k = len(kept)
-    n = state.n_qubits
-    kept_axes = [state.labels.index(l) for l in kept]
-    traced_axes = [i for i in range(n) if state.labels[i] not in keep_set]
+    kept, axes = _trace_plan(state.labels, frozenset(keep))
+    return DensityMatrix(kept, _reduced_matrix(state, axes, len(kept)))
 
-    if isinstance(state, StateVector):
-        m = state.tensor().transpose(kept_axes + traced_axes).reshape(2 ** k, -1)
-        rho = m @ m.conj().T
-    else:
-        t = state.rho.reshape((2,) * (2 * n))
-        perm = (
-            kept_axes
-            + traced_axes
-            + [a + n for a in kept_axes]
-            + [a + n for a in traced_axes]
-        )
-        r = t.transpose(perm).reshape(2 ** k, -1, 2 ** k, 2 ** (n - k))
-        rho = np.trace(r, axis1=1, axis2=3)
 
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(kept, rho)
+def partial_trace_stack(
+    state: StateVector, keeps: Sequence[Iterable[QubitLabel]], names: Sequence[str]
+) -> np.ndarray:
+    """Reduced density matrices over several kept sets of one size, each in
+    canonical label order, stacked (shape (k, d, d)) and validated together.
+    ``names`` labels each member in error messages."""
+    rhos = []
+    for keep in keeps:
+        kept, axes = _trace_plan(state.labels, frozenset(keep))
+        rhos.append(_reduced_matrix(state, axes, len(kept)))
+    stack = np.stack(rhos)
+    check_density_stack(stack, names)
+    return stack
+
+
+def partial_transpose_stack(rhos: np.ndarray, wire: int = 1) -> np.ndarray:
+    """Partial transposes of a stack of two-qubit matrices (shape (k, 4, 4))
+    over storage wire 0 or 1."""
+    t = rhos.reshape(-1, 2, 2, 2, 2)
+    out = t.transpose(0, 1, 4, 3, 2) if wire == 1 else t.transpose(0, 3, 2, 1, 4)
+    return out.reshape(-1, 4, 4)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: QubitLabel) -> np.ndarray:
@@ -389,18 +477,15 @@ def partial_transpose(rho: DensityMatrix, subsystem: QubitLabel) -> np.ndarray:
         raise ValueError("partial transpose is defined here for two-qubit states only")
     if subsystem not in rho.labels:
         raise ValueError(f"label {subsystem} not in register")
-    t = rho.rho.reshape(2, 2, 2, 2)
-    if subsystem == rho.labels[1]:
-        out = t.transpose(0, 3, 2, 1)
-    else:
-        out = t.transpose(2, 1, 0, 3)
-    return out.reshape(4, 4)
+    return partial_transpose_stack(rho.rho[None], rho.labels.index(subsystem))[0]
 
 
 def hermitian_spectrum(matrix: np.ndarray) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix."""
+    """Ascending real eigenvalues of a Hermitian matrix, or of each matrix in
+    a stack (shape (..., d, d))."""
     matrix = np.asarray(matrix, dtype=complex)
-    dev = float(np.max(np.abs(matrix - matrix.conj().T)))
+    adjoint = matrix.conj().swapaxes(-1, -2)
+    dev = float(np.max(np.abs(matrix - adjoint)))
     if dev > ATOL_PSD:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {dev:.3e})")
-    return np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
+    return np.linalg.eigvalsh(0.5 * (matrix + adjoint))

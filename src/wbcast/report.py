@@ -10,6 +10,7 @@ alongside the numeric value.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -76,6 +77,8 @@ class RunRequest:
                 raise ValueError("sweep mode requires a positive draw count")
             if self.seed is None:
                 raise ValueError("sweep mode requires a seed")
+            if self.seed < 0:
+                raise ValueError(f"sweep seed must be non-negative, got {self.seed}")
         if self.mode == "background":
             if self.grid is None or self.grid < 100:
                 raise ValueError("background mode requires a grid of at least 100 points")
@@ -471,46 +474,68 @@ _BACKGROUND_ROW_SCHEMA = {
     "additionalProperties": False,
 }
 
-REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "required": ["version", "schema_version", "request", "runs", "summary"],
-    "properties": {
-        "version": {"type": "string"},
-        "schema_version": {"const": SCHEMA_VERSION},
-        "request": {
-            "type": "object",
-            "required": ["mode", "format"],
-            "properties": {
-                "mode": {"enum": list(MODES)},
-                "format": {"enum": list(FORMATS)},
-                "alpha": {"type": "number"},
-                "beta": {"type": "number"},
-                "gamma": {"type": "number"},
-                "branch1": {"type": "string", "pattern": "^[UD]{3}$"},
-                "branch2": {"type": "string", "pattern": "^[UD]{3}$"},
-                "apply_unitaries": {"type": "boolean"},
-                "sweep_count": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-                "grid": {"type": "integer", "minimum": 100},
+def _report_schema(run_schema: dict) -> dict:
+    return {
+        "$schema": "http://json-schema.org/draft-07/schema#",
+        "type": "object",
+        "required": ["version", "schema_version", "request", "runs", "summary"],
+        "properties": {
+            "version": {"type": "string"},
+            "schema_version": {"const": SCHEMA_VERSION},
+            "request": {
+                "type": "object",
+                "required": ["mode", "format"],
+                "properties": {
+                    "mode": {"enum": list(MODES)},
+                    "format": {"enum": list(FORMATS)},
+                    "alpha": {"type": "number"},
+                    "beta": {"type": "number"},
+                    "gamma": {"type": "number"},
+                    "branch1": {"type": "string", "pattern": "^[UD]{3}$"},
+                    "branch2": {"type": "string", "pattern": "^[UD]{3}$"},
+                    "apply_unitaries": {"type": "boolean"},
+                    "sweep_count": {"type": "integer", "minimum": 1},
+                    "seed": {"type": "integer", "minimum": 0},
+                    "grid": {"type": "integer", "minimum": 100},
+                },
+                "additionalProperties": False,
             },
-            "additionalProperties": False,
+            "runs": {"type": "array", "items": run_schema},
+            "summary": {"type": "object"},
         },
-        "runs": {
-            "type": "array",
-            "items": {"oneOf": [_PROTOCOL_RUN_SCHEMA, _BACKGROUND_ROW_SCHEMA]},
-        },
-        "summary": {"type": "object"},
-    },
-    "additionalProperties": False,
+        "additionalProperties": False,
+    }
+
+
+# The full schema accepts either kind of run; a report whose request names a
+# known mode is checked against the one run schema that mode produces.
+REPORT_SCHEMA = _report_schema({"oneOf": [_PROTOCOL_RUN_SCHEMA, _BACKGROUND_ROW_SCHEMA]})
+
+_RUN_SCHEMA_BY_MODE = {
+    "single": _PROTOCOL_RUN_SCHEMA,
+    "branches": _PROTOCOL_RUN_SCHEMA,
+    "sweep": _PROTOCOL_RUN_SCHEMA,
+    "background": _BACKGROUND_ROW_SCHEMA,
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _validator(mode: str | None) -> jsonschema.Draft7Validator:
+    """The compiled validator for one mode, built and checked on first use."""
+    run_schema = _RUN_SCHEMA_BY_MODE.get(mode)
+    schema = REPORT_SCHEMA if run_schema is None else _report_schema(run_schema)
+    jsonschema.Draft7Validator.check_schema(schema)
+    return jsonschema.Draft7Validator(schema)
+
+
 def validate_report(report: dict) -> None:
-    try:
-        jsonschema.validate(report, REPORT_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise InvariantViolation(f"report failed schema validation: {exc.message}") from exc
+    request = report.get("request")
+    mode = request.get("mode") if isinstance(request, dict) else None
+    known = isinstance(mode, str) and mode in _RUN_SCHEMA_BY_MODE
+    validator = _validator(mode if known else None)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(report))
+    if error is not None:
+        raise InvariantViolation(f"report failed schema validation: {error.message}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ minimum partial-transpose eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .registers import (
     InvariantViolation,
     QubitLabel,
     hermitian_spectrum,
-    partial_transpose,
+    partial_transpose_stack,
 )
 
 SEPARABLE = "SEPARABLE"
@@ -53,17 +54,26 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
         raise ValueError("separability tests apply to two-qubit states only")
 
 
+def _w_stack(pts: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(W3, W4) of each partial transpose in a stack, real parts."""
+    w3 = np.linalg.det(pts[:, :3, :3])
+    w4 = np.linalg.det(pts)
+    for i, name in enumerate(names):
+        for witness, value in (("W3", w3[i]), ("W4", w4[i])):
+            if abs(value.imag) > ATOL_PSD:
+                raise InvariantViolation(
+                    f"{witness} of {name} has imaginary residue {value.imag:.3e}"
+                )
+    return w3.real, w4.real
+
+
 def w_determinants(rho: DensityMatrix) -> tuple[float, float]:
     """(W3, W4): leading 3x3 principal minor and full determinant of the
     partial transpose over the second wire in storage order."""
     _require_two_qubits(rho)
-    pt = partial_transpose(rho, rho.labels[1])
-    w3 = complex(np.linalg.det(pt[:3, :3]))
-    w4 = complex(np.linalg.det(pt))
-    for name, value in (("W3", w3), ("W4", w4)):
-        if abs(value.imag) > ATOL_PSD:
-            raise InvariantViolation(f"{name} has imaginary residue {value.imag:.3e}")
-    return w3.real, w4.real
+    name = "".join(str(l) for l in rho.labels)
+    w3, w4 = _w_stack(partial_transpose_stack(rho.rho[None]), (name,))
+    return float(w3[0]), float(w4[0])
 
 
 def negativity(rho: DensityMatrix) -> float:
@@ -72,9 +82,42 @@ def negativity(rho: DensityMatrix) -> float:
     Eigenvalues inside the PSD tolerance band count as zero, so exactly
     separable states report 0.0 rather than rounding noise.
     """
-    _require_two_qubits(rho)
-    eigs = hermitian_spectrum(partial_transpose(rho, rho.labels[1]))
-    return float(np.sum(-eigs[eigs < ENTANGLEMENT_THRESHOLD]))
+    return ppt_verdict(rho).negativity
+
+
+def ppt_verdicts(
+    rhos: np.ndarray,
+    pairs: Sequence[tuple[QubitLabel, QubitLabel]],
+    paper_claims: Sequence[str | None],
+) -> list[PairVerdict]:
+    """Classify a stack of two-qubit states (shape (k, 4, 4), each in storage
+    order, ``pairs[i]`` naming member i) by the sign of each minimum partial
+    transpose eigenvalue.  One stacked eigvalsh and two stacked determinants
+    serve the whole stack."""
+    for claim in paper_claims:
+        if claim not in (None, SEPARABLE, ENTANGLED):
+            raise ValueError(f"bad claim {claim!r}")
+    pts = partial_transpose_stack(rhos)
+    eigs = hermitian_spectrum(pts)
+    w3, w4 = _w_stack(pts, ["".join(str(l) for l in pair) for pair in pairs])
+    negs = np.where(eigs < ENTANGLEMENT_THRESHOLD, -eigs, 0.0).sum(axis=-1)
+    verdicts = []
+    for i, (pair, claim) in enumerate(zip(pairs, paper_claims)):
+        min_eig = float(eigs[i, 0])
+        classification = ENTANGLED if min_eig < ENTANGLEMENT_THRESHOLD else SEPARABLE
+        verdicts.append(
+            PairVerdict(
+                pair=(pair[0], pair[1]),
+                min_pt_eigenvalue=min_eig,
+                w3=float(w3[i]),
+                w4=float(w4[i]),
+                negativity=float(negs[i]),
+                classification=classification,
+                paper_claim=claim,
+                agrees_with_paper=None if claim is None else (classification == claim),
+            )
+        )
+    return verdicts
 
 
 def ppt_verdict(
@@ -88,22 +131,4 @@ def ppt_verdict(
         pair = (rho.labels[0], rho.labels[1])
     if set(pair) != set(rho.labels):
         raise ValueError("pair names must match the state's labels")
-    if paper_claim not in (None, SEPARABLE, ENTANGLED):
-        raise ValueError(f"bad claim {paper_claim!r}")
-
-    eigs = hermitian_spectrum(partial_transpose(rho, rho.labels[1]))
-    min_eig = float(eigs[0])
-    w3, w4 = w_determinants(rho)
-    neg = float(np.sum(-eigs[eigs < ENTANGLEMENT_THRESHOLD]))
-    classification = ENTANGLED if min_eig < ENTANGLEMENT_THRESHOLD else SEPARABLE
-    agrees = None if paper_claim is None else (classification == paper_claim)
-    return PairVerdict(
-        pair=(pair[0], pair[1]),
-        min_pt_eigenvalue=min_eig,
-        w3=w3,
-        w4=w4,
-        negativity=neg,
-        classification=classification,
-        paper_claim=paper_claim,
-        agrees_with_paper=agrees,
-    )
+    return ppt_verdicts(rho.rho[None], (pair,), (paper_claim,))[0]

@@ -192,6 +192,16 @@ class TestApplyToTargets:
         with pytest.raises(ValueError, match="not in register"):
             apply_to_targets(s, Operator(PAULI_X), (D(2),))
 
+    def test_failed_plan_raises_on_every_call(self):
+        # Wire plans are cached, failed ones are not: the same bad call
+        # raises again, and a good call on the same layout still works.
+        s = StateVector.basis((D(1), D(2)), "10")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="duplicate target"):
+                apply_to_targets(s, Operator(np.eye(4)), (D(1), D(1)))
+        out = apply_to_targets(s, Operator(PAULI_X), (D(1),))
+        assert out.amplitude("00") == 1
+
 
 class TestOperator:
     def test_non_isometry_rejected(self):
@@ -201,6 +211,17 @@ class TestOperator:
     def test_pauli_matrices_are_unitary(self):
         for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
             assert Operator(pauli).is_unitary
+
+    def test_bound_to_keeps_matrix_and_checks_label_counts(self):
+        iso = Operator(np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex))
+        bound = iso.bound_to([D(1)], [D(1), D(2)])
+        assert bound.matrix is iso.matrix
+        assert bound.in_labels == (D(1),) and bound.out_labels == (D(1), D(2))
+        assert iso.in_labels is None and iso.out_labels is None
+        with pytest.raises(ValueError, match="in_labels"):
+            iso.bound_to((D(1), D(2)), (D(1), D(2)))
+        with pytest.raises(ValueError, match="out_labels"):
+            iso.bound_to((D(1),), (D(1),))
 
 
 class TestPartialTrace:
@@ -259,8 +280,9 @@ class TestPartialTrace:
         s = StateVector.basis((D(1), D(2)), "00")
         with pytest.raises(ValueError, match="at least one"):
             partial_trace(s, set())
-        with pytest.raises(ValueError, match="3"):
-            partial_trace(s, {D(3)})
+        for _ in range(2):  # a failed plan is never cached
+            with pytest.raises(ValueError, match="3"):
+                partial_trace(s, {D(3)})
 
 
 class TestPartialTranspose:
@@ -340,3 +362,11 @@ class TestDensityMatrix:
         rho = partial_trace(_bell_state(D(1), D(2)), {D(2)})
         assert rho.purity() == pytest.approx(0.5, abs=1e-12)
         assert np.allclose(rho.eigenvalues(), [0.5, 0.5], atol=1e-12)
+
+    def test_eigenvalues_are_the_validated_spectrum(self):
+        rng = np.random.default_rng(41)
+        rho = partial_trace(_random_state(rng, (D(1), D(2), D(3))), {D(1), D(3)})
+        eigs = rho.eigenvalues()
+        assert eigs.tobytes() == np.linalg.eigvalsh(rho.rho).tobytes()
+        assert eigs.tobytes() == rho.validate().tobytes()
+        assert not eigs.flags.writeable

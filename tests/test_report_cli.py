@@ -75,6 +75,8 @@ class TestRunRequest:
             RunRequest(mode="sweep", sweep_count=0, seed=1)
         with pytest.raises(ValueError, match="seed"):
             RunRequest(mode="sweep", sweep_count=5)
+        with pytest.raises(ValueError, match="non-negative"):
+            RunRequest(mode="sweep", sweep_count=5, seed=-1)
 
     def test_background_requires_grid(self):
         with pytest.raises(ValueError, match="grid"):
@@ -199,6 +201,20 @@ class TestSchema:
         mutate(bad)
         with pytest.raises(InvariantViolation, match="schema"):
             validate_report(bad)
+
+    def test_runs_checked_against_their_mode_schema(
+        self, single_report, background_report
+    ):
+        # Each mode's runs are checked against that mode's run schema only,
+        # so a run of the other kind is rejected.
+        mixed = copy.deepcopy(single_report)
+        mixed["runs"].append(copy.deepcopy(background_report["runs"][0]))
+        with pytest.raises(InvariantViolation, match="schema"):
+            validate_report(mixed)
+        mixed = copy.deepcopy(background_report)
+        mixed["runs"].append(copy.deepcopy(single_report["runs"][0]))
+        with pytest.raises(InvariantViolation, match="schema"):
+            validate_report(mixed)
 
 
 class TestBranchesReport:
@@ -386,6 +402,15 @@ class TestCli:
 
     def test_bad_amplitudes_exit_2(self, capsys):
         code = main(["single", "--alpha", "0.9", "--beta", "0.9", "--gamma", "0.9"])
+        assert code == 2
+        assert "unit vector" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["sweep", "--sweep", "2", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_overflowing_amplitudes_exit_2(self, capsys):
+        code = main(["single", "--alpha", "1e200", "--beta", "1e200", "--gamma", "0"])
         assert code == 2
         assert "unit vector" in capsys.readouterr().err
 
