@@ -28,24 +28,18 @@ from .registers import (
     canonical_order,
     hermitian_spectrum,
     partial_trace,
-    partial_transpose,
-    tensor_product,
 )
 from .separability import (
     ENTANGLED,
     SEPARABLE,
     PairVerdict,
-    negativity,
     ppt_verdict,
-    w_determinants,
 )
 from .protocol import (
     ALL_PAIRS,
     LOCAL_PAIRS,
     NONLOCAL_PAIRS,
     PAPER_CLAIMS,
-    Message,
-    PartyView,
     ProtocolConfig,
     Transcript,
     TwoQubitBroadcast,
@@ -53,10 +47,8 @@ from .protocol import (
     apply_local_unitaries,
     branch_select,
     broadcast_verdict,
-    classical_exchange,
     five_qubit_state,
     locate_broadcast_interval,
-    pair_states,
     pair_verdicts,
     prepare_w,
     round_one,
@@ -77,12 +69,10 @@ __all__ = [
     "LOCAL_PAIRS",
     "MachineBranch",
     "MachineOutcome",
-    "Message",
     "NONLOCAL_PAIRS",
     "Operator",
     "PAPER_CLAIMS",
     "PairVerdict",
-    "PartyView",
     "ProtocolConfig",
     "QubitLabel",
     "SEPARABLE",
@@ -96,23 +86,17 @@ __all__ = [
     "branch_select",
     "broadcast_verdict",
     "canonical_order",
-    "classical_exchange",
     "clone_qubit",
     "five_qubit_state",
     "hermitian_spectrum",
     "locate_broadcast_interval",
     "measure_machines",
-    "negativity",
-    "pair_states",
     "pair_verdicts",
     "partial_trace",
-    "partial_transpose",
     "ppt_verdict",
     "prepare_w",
     "round_one",
     "round_two",
     "run_protocol",
-    "tensor_product",
     "two_qubit_broadcast",
-    "w_determinants",
 ]

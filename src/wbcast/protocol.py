@@ -12,16 +12,14 @@ module computes and checks against the published claims for the protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .cloner import (
-    BRANCH_ORDER,
     CloneAssignment,
     MachineBranch,
-    MachineOutcome,
     clone_qubit,
     measure_machines,
 )
@@ -63,23 +61,6 @@ PAPER_CLAIMS: dict[str, str] = {
     **{f"{a}{b}": ENTANGLED for a, b in NONLOCAL_PAIRS},
     **{f"{a}{b}": SEPARABLE for a, b in LOCAL_PAIRS},
 }
-
-PARTY_NAMES = ("Alice", "Bob", "Charlie")
-PARTY_QUBITS = {
-    "Alice": (_D(1), _D(4), _D(7)),
-    "Bob": (_D(2), _D(5), _D(8)),
-    "Charlie": (_D(3), _D(6), _D(9)),
-}
-
-STAGE_NAMES = (
-    "w_state",
-    "round1_cloned",
-    "round1_selected",
-    "round2_cloned",
-    "round2_selected",
-    "final",
-)
-
 
 def pair_key(pair: tuple[int, int]) -> str:
     return f"{pair[0]}{pair[1]}"
@@ -138,34 +119,14 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class Message:
-    """One classical transmission of a machine outcome."""
-
-    sender: str
-    receiver: str
-    round_no: int
-    outcome: MachineOutcome
-
-
-@dataclass(frozen=True)
-class PartyView:
-    """What one party holds and knows after the classical exchange."""
-
-    party: str
-    qubits: tuple[QubitLabel, ...]
-    known_outcomes: dict[tuple[int, str], MachineOutcome] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class Transcript:
-    """Full record of one protocol run."""
+    """Record of one protocol run.  ``stages`` holds the final nine-qubit
+    state under ``"final"``; the announced outcomes are the config's branches."""
 
     config: ProtocolConfig
     stages: dict[str, StateVector]
     p1: float
     p2: float
-    messages: tuple[Message, ...]
-    views: tuple[PartyView, PartyView, PartyView]
     five_qubit: DensityMatrix
     pairs: dict[str, PairVerdict]
     broadcast_ok: bool
@@ -251,15 +212,6 @@ def five_qubit_state(state: StateVector) -> DensityMatrix:
     return partial_trace(state, _FIVE_QUBIT_WIRES)
 
 
-def pair_states(state: StateVector) -> dict[str, DensityMatrix]:
-    """Reduced states of all reported qubit pairs, keyed like '15', in report order."""
-    _require_register(state, _DATA_WIRES, "pair_states")
-    return {
-        pair_key(pair): partial_trace(state, {_D(pair[0]), _D(pair[1])})
-        for pair in ALL_PAIRS
-    }
-
-
 _PAIR_KEYS = tuple(pair_key(pair) for pair in ALL_PAIRS)
 _PAIR_LABELS = tuple((_D(a), _D(b)) for a, b in ALL_PAIRS)
 _PAIR_CLAIMS = tuple(PAPER_CLAIMS[key] for key in _PAIR_KEYS)
@@ -293,39 +245,6 @@ def broadcast_verdict(pairs: Mapping[str, PairVerdict]) -> bool:
     return nonlocal_ok and local_ok
 
 
-_EXCHANGE_ORDER = (
-    ("Alice", "Bob"),
-    ("Alice", "Charlie"),
-    ("Bob", "Alice"),
-    ("Bob", "Charlie"),
-    ("Charlie", "Alice"),
-    ("Charlie", "Bob"),
-)
-
-
-def classical_exchange(
-    branch1: MachineBranch, branch2: MachineBranch
-) -> tuple[tuple[PartyView, PartyView, PartyView], tuple[Message, ...]]:
-    """Simulate both rounds of outcome announcements.
-
-    Each round every party sends its own outcome to the other two, in the
-    fixed order A->B, A->C, B->A, B->C, C->A, C->B.  Afterwards all three
-    views hold identical knowledge of all six outcomes.
-    """
-    messages: list[Message] = []
-    known: dict[tuple[int, str], MachineOutcome] = {}
-    for round_no, branch in ((1, branch1), (2, branch2)):
-        own = dict(zip(PARTY_NAMES, branch.outcomes))
-        for sender, receiver in _EXCHANGE_ORDER:
-            messages.append(Message(sender, receiver, round_no, own[sender]))
-        for party in PARTY_NAMES:
-            known[(round_no, party)] = own[party]
-    views = tuple(
-        PartyView(party, PARTY_QUBITS[party], dict(known)) for party in PARTY_NAMES
-    )
-    return views, tuple(messages)
-
-
 def run_protocol(config: ProtocolConfig) -> Transcript:
     """Execute both cloning rounds on the selected branches and analyze the result."""
     w = prepare_w(config.params)
@@ -339,23 +258,11 @@ def run_protocol(config: ProtocolConfig) -> Transcript:
     five = five_qubit_state(final)
     verdicts = pair_verdicts(final)
     ok = broadcast_verdict(verdicts)
-    views, messages = classical_exchange(config.branch1, config.branch2)
-
-    stages = {
-        "w_state": w,
-        "round1_cloned": cloned1,
-        "round1_selected": selected1,
-        "round2_cloned": cloned2,
-        "round2_selected": selected2,
-        "final": final,
-    }
     return Transcript(
         config=config,
-        stages=stages,
+        stages={"final": final},
         p1=p1,
         p2=p2,
-        messages=messages,
-        views=views,
         five_qubit=five,
         pairs=verdicts,
         broadcast_ok=ok,

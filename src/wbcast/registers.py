@@ -168,9 +168,6 @@ class StateVector:
         perm = [self.labels.index(l) for l in order]
         return StateVector(order, self.tensor().transpose(perm).reshape(-1))
 
-    def sorted_canonical(self) -> "StateVector":
-        return self.permuted(canonical_order(self.labels))
-
     def amplitude(self, bits: str, order: Sequence[QubitLabel] | None = None) -> complex:
         """Amplitude of |bits>, read in the given label order (default: storage order)."""
         view = self if order is None else self.permuted(order)
@@ -307,16 +304,6 @@ class DensityMatrix:
         return complex(view.rho[int(bra, 2) if bra else 0, int(ket, 2) if ket else 0])
 
 
-def tensor_product(a: StateVector, b: StateVector) -> StateVector:
-    """Combine two registers; the result lists a's labels then b's."""
-    overlap = set(a.labels) & set(b.labels)
-    if overlap:
-        raise ValueError(
-            f"registers share labels: {StateVector._names(canonical_order(overlap))}"
-        )
-    return StateVector(a.labels + b.labels, np.kron(a.amps, b.amps))
-
-
 def check_density_stack(rhos: np.ndarray, names: Sequence[str]) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a stack of density
     matrices (shape (k, d, d)) and return their ascending spectra (k, d).
@@ -423,25 +410,14 @@ def _trace_plan(
     return kept, kept_axes + traced_axes
 
 
-def _reduced_matrix(
-    state: StateVector | DensityMatrix, axes: tuple[int, ...], k: int
-) -> np.ndarray:
+def _reduced_matrix(state: StateVector, axes: tuple[int, ...], k: int) -> np.ndarray:
     """Symmetrised reduced matrix over the first k of the given axes."""
-    n = state.n_qubits
-    if isinstance(state, StateVector):
-        m = state.tensor().transpose(axes).reshape(2 ** k, -1)
-        rho = m @ m.conj().T
-    else:
-        t = state.rho.reshape((2,) * (2 * n))
-        perm = axes + tuple(a + n for a in axes)
-        r = t.transpose(perm).reshape(2 ** k, -1, 2 ** k, 2 ** (n - k))
-        rho = np.trace(r, axis1=1, axis2=3)
+    m = state.tensor().transpose(axes).reshape(2 ** k, -1)
+    rho = m @ m.conj().T
     return 0.5 * (rho + rho.conj().T)
 
 
-def partial_trace(
-    state: StateVector | DensityMatrix, keep: Iterable[QubitLabel]
-) -> DensityMatrix:
+def partial_trace(state: StateVector, keep: Iterable[QubitLabel]) -> DensityMatrix:
     """Reduced density matrix over the kept wires, labels in canonical order."""
     kept, axes = _trace_plan(state.labels, frozenset(keep))
     return DensityMatrix(kept, _reduced_matrix(state, axes, len(kept)))
@@ -468,16 +444,6 @@ def partial_transpose_stack(rhos: np.ndarray, wire: int = 1) -> np.ndarray:
     t = rhos.reshape(-1, 2, 2, 2, 2)
     out = t.transpose(0, 1, 4, 3, 2) if wire == 1 else t.transpose(0, 3, 2, 1, 4)
     return out.reshape(-1, 4, 4)
-
-
-def partial_transpose(rho: DensityMatrix, subsystem: QubitLabel) -> np.ndarray:
-    """Partial transpose of a two-qubit state over one wire (a plain matrix,
-    since the result is generally not positive)."""
-    if rho.n_qubits != 2:
-        raise ValueError("partial transpose is defined here for two-qubit states only")
-    if subsystem not in rho.labels:
-        raise ValueError(f"label {subsystem} not in register")
-    return partial_transpose_stack(rho.rho[None], rho.labels.index(subsystem))[0]
 
 
 def hermitian_spectrum(matrix: np.ndarray) -> np.ndarray:

@@ -195,26 +195,27 @@ def _run_record(index: int, transcript: Transcript) -> dict:
 
 
 def _summary_block(records: list[dict]) -> dict:
-    by_pair = []
-    for pair in ALL_PAIRS:
-        key = pair_key(pair)
-        agree = disagree = entangled = 0
-        for record in records:
-            row = next(r for r in record["pairs"] if r["pair"] == key)
-            agree += 1 if row["agrees_with_paper"] else 0
-            disagree += 0 if row["agrees_with_paper"] else 1
-            entangled += 1 if row["classification"] == ENTANGLED else 0
-        by_pair.append(
-            {
-                "pair": key,
-                "kind": "local" if key in _LOCAL_KEYS else "nonlocal",
-                "paper_claim": PAPER_CLAIMS[key],
-                "runs": len(records),
-                "agree": agree,
-                "disagree": disagree,
-                "entangled_count": entangled,
-            }
-        )
+    by_pair = [
+        {
+            "pair": key,
+            "kind": "local" if key in _LOCAL_KEYS else "nonlocal",
+            "paper_claim": PAPER_CLAIMS[key],
+            "runs": len(records),
+            "agree": 0,
+            "disagree": 0,
+            "entangled_count": 0,
+        }
+        for key in map(pair_key, ALL_PAIRS)
+    ]
+    for record in records:
+        # Every record lists its pair rows in ALL_PAIRS order.
+        for tally, row in zip(by_pair, record["pairs"], strict=True):
+            if row["agrees_with_paper"]:
+                tally["agree"] += 1
+            else:
+                tally["disagree"] += 1
+            if row["classification"] == ENTANGLED:
+                tally["entangled_count"] += 1
     return {
         "runs": len(records),
         "broadcast_ok_count": sum(1 for r in records if r["broadcast_ok"]),
@@ -507,10 +508,6 @@ def _report_schema(run_schema: dict) -> dict:
     }
 
 
-# The full schema accepts either kind of run; a report whose request names a
-# known mode is checked against the one run schema that mode produces.
-REPORT_SCHEMA = _report_schema({"oneOf": [_PROTOCOL_RUN_SCHEMA, _BACKGROUND_ROW_SCHEMA]})
-
 _RUN_SCHEMA_BY_MODE = {
     "single": _PROTOCOL_RUN_SCHEMA,
     "branches": _PROTOCOL_RUN_SCHEMA,
@@ -520,10 +517,9 @@ _RUN_SCHEMA_BY_MODE = {
 
 
 @functools.lru_cache(maxsize=None)
-def _validator(mode: str | None) -> jsonschema.Draft7Validator:
+def _validator(mode: str) -> jsonschema.Draft7Validator:
     """The compiled validator for one mode, built and checked on first use."""
-    run_schema = _RUN_SCHEMA_BY_MODE.get(mode)
-    schema = REPORT_SCHEMA if run_schema is None else _report_schema(run_schema)
+    schema = _report_schema(_RUN_SCHEMA_BY_MODE[mode])
     jsonschema.Draft7Validator.check_schema(schema)
     return jsonschema.Draft7Validator(schema)
 
@@ -531,8 +527,9 @@ def _validator(mode: str | None) -> jsonschema.Draft7Validator:
 def validate_report(report: dict) -> None:
     request = report.get("request")
     mode = request.get("mode") if isinstance(request, dict) else None
-    known = isinstance(mode, str) and mode in _RUN_SCHEMA_BY_MODE
-    validator = _validator(mode if known else None)
+    # Every mode's schema requires a known request.mode, so a report with a
+    # missing or unknown mode fails whichever schema checks it.
+    validator = _validator(mode if mode in MODES else MODES[0])
     error = jsonschema.exceptions.best_match(validator.iter_errors(report))
     if error is not None:
         raise InvariantViolation(f"report failed schema validation: {error.message}")

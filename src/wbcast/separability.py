@@ -49,11 +49,6 @@ class PairVerdict:
         return "".join(str(l) for l in self.pair)
 
 
-def _require_two_qubits(rho: DensityMatrix) -> None:
-    if rho.n_qubits != 2:
-        raise ValueError("separability tests apply to two-qubit states only")
-
-
 def _w_stack(pts: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """(W3, W4) of each partial transpose in a stack, real parts."""
     w3 = np.linalg.det(pts[:, :3, :3])
@@ -65,24 +60,6 @@ def _w_stack(pts: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndar
                     f"{witness} of {name} has imaginary residue {value.imag:.3e}"
                 )
     return w3.real, w4.real
-
-
-def w_determinants(rho: DensityMatrix) -> tuple[float, float]:
-    """(W3, W4): leading 3x3 principal minor and full determinant of the
-    partial transpose over the second wire in storage order."""
-    _require_two_qubits(rho)
-    name = "".join(str(l) for l in rho.labels)
-    w3, w4 = _w_stack(partial_transpose_stack(rho.rho[None]), (name,))
-    return float(w3[0]), float(w4[0])
-
-
-def negativity(rho: DensityMatrix) -> float:
-    """Sum of the magnitudes of negative partial-transpose eigenvalues.
-
-    Eigenvalues inside the PSD tolerance band count as zero, so exactly
-    separable states report 0.0 rather than rounding noise.
-    """
-    return ppt_verdict(rho).negativity
 
 
 def ppt_verdicts(
@@ -100,6 +77,8 @@ def ppt_verdicts(
     pts = partial_transpose_stack(rhos)
     eigs = hermitian_spectrum(pts)
     w3, w4 = _w_stack(pts, ["".join(str(l) for l in pair) for pair in pairs])
+    # PT eigenvalues inside the PSD band count as zero, so separable states
+    # report a negativity of exactly 0.0 rather than rounding noise.
     negs = np.where(eigs < ENTANGLEMENT_THRESHOLD, -eigs, 0.0).sum(axis=-1)
     verdicts = []
     for i, (pair, claim) in enumerate(zip(pairs, paper_claims)):
@@ -126,7 +105,8 @@ def ppt_verdict(
     paper_claim: str | None = None,
 ) -> PairVerdict:
     """Classify a two-qubit state by the sign of its minimum PT eigenvalue."""
-    _require_two_qubits(rho)
+    if rho.n_qubits != 2:
+        raise ValueError("separability tests apply to two-qubit states only")
     if pair is None:
         pair = (rho.labels[0], rho.labels[1])
     if set(pair) != set(rho.labels):

@@ -12,9 +12,7 @@ from wbcast.separability import (
     ENTANGLED,
     SEPARABLE,
     PairVerdict,
-    negativity,
     ppt_verdict,
-    w_determinants,
 )
 
 from oracles import (
@@ -117,9 +115,9 @@ class TestAgainstBruteforce:
         for _ in range(50):
             rho = random_two_qubit_dm(rng)
             pt = partial_transpose_second(rho)
-            w3, w4 = w_determinants(_dm(rho))
-            assert w3 == pytest.approx(np.linalg.det(pt[:3, :3]).real, abs=1e-12)
-            assert w4 == pytest.approx(np.linalg.det(pt).real, abs=1e-12)
+            v = ppt_verdict(_dm(rho))
+            assert v.w3 == pytest.approx(np.linalg.det(pt[:3, :3]).real, abs=1e-12)
+            assert v.w4 == pytest.approx(np.linalg.det(pt).real, abs=1e-12)
 
     def test_product_mixtures_have_zero_negativity(self):
         rng = np.random.default_rng(104)
@@ -179,5 +177,3 @@ class TestVerdictFields:
             ppt_verdict(_bell_dm(), paper_claim="MAYBE")
         with pytest.raises(ValueError, match="labels"):
             ppt_verdict(_bell_dm(), pair=(D(1), D(3)))
-        with pytest.raises(ValueError, match="two-qubit"):
-            negativity(DensityMatrix((D(1),), np.eye(2) / 2))
