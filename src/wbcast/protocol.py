@@ -35,7 +35,9 @@ from .registers import (
     partial_trace,
     partial_trace_stack,
 )
-from .separability import ENTANGLED, SEPARABLE, PairVerdict, ppt_verdict, ppt_verdicts
+from .separability import ENTANGLED, SEPARABLE, PairVerdict, ppt_verdicts
+# Not called here; kept because perfbench/layers.py traces wbcast.protocol.ppt_verdict.
+from .separability import ppt_verdict
 
 _D = QubitLabel.data
 _M = QubitLabel.machine
@@ -278,6 +280,12 @@ class TwoQubitBroadcast:
     local_verdict: PairVerdict
 
 
+# The non-local and the local pair of the two-qubit broadcast, checked and
+# classified as one stack like the eleven pairs of ``pair_verdicts``.
+_BROADCAST_PAIRS = ((_D(1), _D(5)), (_D(1), _D(4)))
+_BROADCAST_NAMES = ("pair 15", "pair 14")
+
+
 def two_qubit_broadcast(alpha_sq: float) -> TwoQubitBroadcast:
     """Clone each qubit of alpha|00> + beta|11> once and test two output pairs.
 
@@ -294,12 +302,12 @@ def two_qubit_broadcast(alpha_sq: float) -> TwoQubitBroadcast:
     state = clone_qubit(state, CloneAssignment(_D(1), _D(4), _M("A", 1)))
     state = clone_qubit(state, CloneAssignment(_D(2), _D(5), _M("B", 1)))
 
-    nonlocal_rho = partial_trace(state, {_D(1), _D(5)})
-    local_rho = partial_trace(state, {_D(1), _D(4)})
+    rhos = partial_trace_stack(state, _BROADCAST_PAIRS, _BROADCAST_NAMES)
+    nonlocal_verdict, local_verdict = ppt_verdicts(rhos, _BROADCAST_PAIRS, (None, None))
     return TwoQubitBroadcast(
         alpha_sq=alpha_sq,
-        nonlocal_verdict=ppt_verdict(nonlocal_rho),
-        local_verdict=ppt_verdict(local_rho),
+        nonlocal_verdict=nonlocal_verdict,
+        local_verdict=local_verdict,
     )
 
 
@@ -307,8 +315,9 @@ def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, xtol: float) -> fl
     """Locate a sign change of f on [lo, hi] by bisection."""
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
-        if (f(mid) < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f(mid)
+        f_mid = f(mid)
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
@@ -321,8 +330,9 @@ def locate_broadcast_interval(xtol: float = 1e-9) -> tuple[float, float]:
         return two_qubit_broadcast(a2).nonlocal_verdict.min_pt_eigenvalue
 
     center = 0.5
-    if f(center) >= 0.0:
+    f_center = f(center)
+    if f_center >= 0.0:
         raise InvariantViolation("expected entanglement at alpha^2 = 1/2")
     lower = _bisect_sign_change(f, 1e-6, center, f(1e-6), xtol)
-    upper = _bisect_sign_change(f, center, 1.0 - 1e-6, f(center), xtol)
+    upper = _bisect_sign_change(f, center, 1.0 - 1e-6, f_center, xtol)
     return lower, upper

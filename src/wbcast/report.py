@@ -15,6 +15,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import jsonschema
 import numpy as np
@@ -34,7 +35,7 @@ from .protocol import (
     two_qubit_broadcast,
 )
 from .registers import InvariantViolation
-from .separability import ENTANGLED, SEPARABLE
+from .separability import ENTANGLED, SEPARABLE, PairVerdict
 
 SCHEMA_VERSION = 1
 
@@ -111,6 +112,105 @@ def _round_floats(obj):
     return obj
 
 
+# ---------------------------------------------------------------------------
+# Field tables
+
+
+def _closed(properties: dict, required: list[str] | None = None) -> dict:
+    """An object schema allowing only ``properties``; all of them are
+    required unless ``required`` names a subset."""
+    return {
+        "type": "object",
+        "required": list(properties) if required is None else required,
+        "properties": properties,
+        "additionalProperties": False,
+    }
+
+
+_NUMBER = {"type": "number"}
+_PROBABILITY = {"type": "number", "exclusiveMinimum": 0}
+_COUNT = {"type": "integer", "minimum": 0}
+_BOOLEAN = {"type": "boolean"}
+_STRING = {"type": "string"}
+_BRANCH = {"type": "string", "pattern": "^[UD]{3}$"}
+_CLASSIFICATION = {"enum": [SEPARABLE, ENTANGLED]}
+
+# Each row kind's fields, in report order, with their schema fragments.  The
+# report schema and the csv columns are derived from these tables.
+_PAIR_FIELDS = {
+    "pair": {"type": "string", "pattern": "^[1-9]{2}$"},
+    "kind": {"enum": ["nonlocal", "local"]},
+    "min_pt_eigenvalue": _NUMBER,
+    "w3": _NUMBER,
+    "w4": _NUMBER,
+    "negativity": {"type": "number", "minimum": 0},
+    "classification": _CLASSIFICATION,
+    "paper_claim": _CLASSIFICATION,
+    "agrees_with_paper": _BOOLEAN,
+}
+# The pair-row fields after the head, copied by _pair_row from the PairVerdict
+# attributes of the same names.
+_VERDICT_FIELDS = tuple(_PAIR_FIELDS)[2:]
+
+_BACKGROUND_FIELDS = {
+    "alpha_sq": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    "nonlocal_min_pt_eigenvalue": _NUMBER,
+    "local_min_pt_eigenvalue": _NUMBER,
+    "nonlocal_classification": _CLASSIFICATION,
+    "local_classification": _CLASSIFICATION,
+}
+
+_RUN_FIELDS = {
+    "index": _COUNT,
+    "params": _closed({"alpha": _NUMBER, "beta": _NUMBER, "gamma": _NUMBER}),
+    "degenerate_input": _BOOLEAN,
+    "branches": _closed({"round1": _BRANCH, "round2": _BRANCH}),
+    "apply_unitaries": _BOOLEAN,
+    "p1": _PROBABILITY,
+    "p2": _PROBABILITY,
+    "p1_fraction": _STRING,
+    "p2_fraction": _STRING,
+    "joint_probability": _PROBABILITY,
+    "five_qubit": _closed(
+        {
+            "labels": {"type": "array", "items": _STRING, "minItems": 5, "maxItems": 5},
+            "trace": _NUMBER,
+            "purity": _NUMBER,
+            "eigenvalues": {"type": "array", "items": _NUMBER, "minItems": 32, "maxItems": 32},
+        }
+    ),
+    "pairs": {"type": "array", "items": _closed(_PAIR_FIELDS), "minItems": 11, "maxItems": 11},
+    "broadcast_ok": _BOOLEAN,
+    "paper_agreement": _closed(
+        {
+            "agree": _COUNT,
+            "disagree": _COUNT,
+            "disagreeing_pairs": {"type": "array", "items": _STRING},
+        }
+    ),
+    "note": _STRING,
+}
+_OPTIONAL_RUN_FIELDS = ("p1_fraction", "p2_fraction", "note")
+
+_REQUEST_FIELDS = {
+    "mode": {"enum": list(MODES)},
+    "format": {"enum": list(FORMATS)},
+    "alpha": _NUMBER,
+    "beta": _NUMBER,
+    "gamma": _NUMBER,
+    "branch1": _BRANCH,
+    "branch2": _BRANCH,
+    "apply_unitaries": _BOOLEAN,
+    "sweep_count": {"type": "integer", "minimum": 1},
+    "seed": _COUNT,
+    "grid": {"type": "integer", "minimum": 100},
+}
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+
 def _request_block(request: RunRequest) -> dict:
     block: dict = {"mode": request.mode, "format": request.fmt}
     if request.params is not None:
@@ -132,29 +232,21 @@ def _request_block(request: RunRequest) -> dict:
     return block
 
 
-def _pair_rows(transcript: Transcript) -> list[dict]:
-    rows = []
-    for key, verdict in transcript.pairs.items():
-        rows.append(
-            {
-                "pair": key,
-                "kind": "local" if key in _LOCAL_KEYS else "nonlocal",
-                "min_pt_eigenvalue": verdict.min_pt_eigenvalue,
-                "w3": verdict.w3,
-                "w4": verdict.w4,
-                "negativity": verdict.negativity,
-                "classification": verdict.classification,
-                "paper_claim": verdict.paper_claim,
-                "agrees_with_paper": verdict.agrees_with_paper,
-            }
-        )
-    return rows
+def _pair_head(key: str) -> dict:
+    """The fields a pair row and a pair's summary row open with."""
+    return {"pair": key, "kind": "local" if key in _LOCAL_KEYS else "nonlocal"}
+
+
+def _pair_row(key: str, verdict: PairVerdict) -> dict:
+    row = _pair_head(key)
+    # The remaining fields are the PairVerdict attributes of the same names.
+    row.update((name, getattr(verdict, name)) for name in _VERDICT_FIELDS)
+    return row
 
 
 def _run_record(index: int, transcript: Transcript) -> dict:
     config = transcript.config
-    pairs = _pair_rows(transcript)
-    disagreeing = [row["pair"] for row in pairs if not row["agrees_with_paper"]]
+    disagreeing = [key for key, verdict in transcript.pairs.items() if not verdict.agrees_with_paper]
     record = {
         "index": index,
         "params": {
@@ -174,10 +266,10 @@ def _run_record(index: int, transcript: Transcript) -> dict:
             "purity": transcript.five_qubit.purity(),
             "eigenvalues": [float(v) for v in transcript.five_qubit.eigenvalues()],
         },
-        "pairs": pairs,
+        "pairs": [_pair_row(key, verdict) for key, verdict in transcript.pairs.items()],
         "broadcast_ok": transcript.broadcast_ok,
         "paper_agreement": {
-            "agree": len(pairs) - len(disagreeing),
+            "agree": len(transcript.pairs) - len(disagreeing),
             "disagree": len(disagreeing),
             "disagreeing_pairs": disagreeing,
         },
@@ -197,8 +289,7 @@ def _run_record(index: int, transcript: Transcript) -> dict:
 def _summary_block(records: list[dict]) -> dict:
     by_pair = [
         {
-            "pair": key,
-            "kind": "local" if key in _LOCAL_KEYS else "nonlocal",
+            **_pair_head(key),
             "paper_claim": PAPER_CLAIMS[key],
             "runs": len(records),
             "agree": 0,
@@ -236,33 +327,31 @@ def _assemble(request: RunRequest, runs: list[dict], summary: dict) -> dict:
     return report
 
 
+def _protocol_records(
+    request: RunRequest, runs: Iterable[tuple[WParams, MachineBranch, MachineBranch]]
+) -> list[dict]:
+    """Run the protocol on each (params, branch1, branch2) and record it."""
+    records = []
+    for index, (params, branch1, branch2) in enumerate(runs):
+        config = ProtocolConfig(params, branch1, branch2, request.apply_unitaries)
+        records.append(_run_record(index, run_protocol(config)))
+    return records
+
+
 def run_single(request: RunRequest) -> dict:
-    config = ProtocolConfig(
-        params=request.params,
-        branch1=request.branch1,
-        branch2=request.branch2,
-        apply_unitaries=request.apply_unitaries,
-    )
-    records = [_run_record(0, run_protocol(config))]
+    records = _protocol_records(request, [(request.params, request.branch1, request.branch2)])
     return _assemble(request, records, _summary_block(records))
 
 
 def run_branches(request: RunRequest) -> dict:
-    records = []
+    records = _protocol_records(
+        request, ((request.params, b1, b2) for b1 in BRANCH_ORDER for b2 in BRANCH_ORDER)
+    )
+    # Summed left to right: sum() of floats is compensated on Python >= 3.12,
+    # which would change the reported total.
     total = 0.0
-    index = 0
-    for branch1 in BRANCH_ORDER:
-        for branch2 in BRANCH_ORDER:
-            config = ProtocolConfig(
-                params=request.params,
-                branch1=branch1,
-                branch2=branch2,
-                apply_unitaries=request.apply_unitaries,
-            )
-            record = _run_record(index, run_protocol(config))
-            total += record["joint_probability"]
-            records.append(record)
-            index += 1
+    for record in records:
+        total += record["joint_probability"]
     if abs(total - 1.0) > 1e-10:
         raise InvariantViolation(
             f"branch probabilities sum to {total!r}, expected 1 within 1e-10"
@@ -290,16 +379,9 @@ def sweep_params(count: int, seed: int) -> list[WParams]:
 
 
 def run_sweep(request: RunRequest) -> dict:
-    default_branch = BRANCH_ORDER[0]
-    records = []
-    for index, params in enumerate(sweep_params(request.sweep_count, request.seed)):
-        config = ProtocolConfig(
-            params=params,
-            branch1=default_branch,
-            branch2=default_branch,
-            apply_unitaries=request.apply_unitaries,
-        )
-        records.append(_run_record(index, run_protocol(config)))
+    branch = BRANCH_ORDER[0]
+    draws = sweep_params(request.sweep_count, request.seed)
+    records = _protocol_records(request, ((params, branch, branch) for params in draws))
     return _assemble(request, records, _summary_block(records))
 
 
@@ -337,182 +419,29 @@ RUNNERS = {
 # Schema
 
 
-_CLASSIFICATION = {"enum": [SEPARABLE, ENTANGLED]}
-
-_PAIR_RECORD_SCHEMA = {
-    "type": "object",
-    "required": [
-        "pair",
-        "kind",
-        "min_pt_eigenvalue",
-        "w3",
-        "w4",
-        "negativity",
-        "classification",
-        "paper_claim",
-        "agrees_with_paper",
-    ],
-    "properties": {
-        "pair": {"type": "string", "pattern": "^[1-9]{2}$"},
-        "kind": {"enum": ["nonlocal", "local"]},
-        "min_pt_eigenvalue": {"type": "number"},
-        "w3": {"type": "number"},
-        "w4": {"type": "number"},
-        "negativity": {"type": "number", "minimum": 0},
-        "classification": _CLASSIFICATION,
-        "paper_claim": _CLASSIFICATION,
-        "agrees_with_paper": {"type": "boolean"},
-    },
-    "additionalProperties": False,
-}
-
-_PROTOCOL_RUN_SCHEMA = {
-    "type": "object",
-    "required": [
-        "index",
-        "params",
-        "degenerate_input",
-        "branches",
-        "apply_unitaries",
-        "p1",
-        "p2",
-        "joint_probability",
-        "five_qubit",
-        "pairs",
-        "broadcast_ok",
-        "paper_agreement",
-    ],
-    "properties": {
-        "index": {"type": "integer", "minimum": 0},
-        "params": {
-            "type": "object",
-            "required": ["alpha", "beta", "gamma"],
-            "properties": {
-                "alpha": {"type": "number"},
-                "beta": {"type": "number"},
-                "gamma": {"type": "number"},
-            },
-            "additionalProperties": False,
-        },
-        "degenerate_input": {"type": "boolean"},
-        "branches": {
-            "type": "object",
-            "required": ["round1", "round2"],
-            "properties": {
-                "round1": {"type": "string", "pattern": "^[UD]{3}$"},
-                "round2": {"type": "string", "pattern": "^[UD]{3}$"},
-            },
-            "additionalProperties": False,
-        },
-        "apply_unitaries": {"type": "boolean"},
-        "p1": {"type": "number", "exclusiveMinimum": 0},
-        "p2": {"type": "number", "exclusiveMinimum": 0},
-        "p1_fraction": {"type": "string"},
-        "p2_fraction": {"type": "string"},
-        "joint_probability": {"type": "number", "exclusiveMinimum": 0},
-        "five_qubit": {
-            "type": "object",
-            "required": ["labels", "trace", "purity", "eigenvalues"],
-            "properties": {
-                "labels": {
-                    "type": "array",
-                    "items": {"type": "string"},
-                    "minItems": 5,
-                    "maxItems": 5,
-                },
-                "trace": {"type": "number"},
-                "purity": {"type": "number"},
-                "eigenvalues": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 32,
-                    "maxItems": 32,
-                },
-            },
-            "additionalProperties": False,
-        },
-        "pairs": {
-            "type": "array",
-            "items": _PAIR_RECORD_SCHEMA,
-            "minItems": 11,
-            "maxItems": 11,
-        },
-        "broadcast_ok": {"type": "boolean"},
-        "paper_agreement": {
-            "type": "object",
-            "required": ["agree", "disagree", "disagreeing_pairs"],
-            "properties": {
-                "agree": {"type": "integer", "minimum": 0},
-                "disagree": {"type": "integer", "minimum": 0},
-                "disagreeing_pairs": {
-                    "type": "array",
-                    "items": {"type": "string"},
-                },
-            },
-            "additionalProperties": False,
-        },
-        "note": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
-_BACKGROUND_ROW_SCHEMA = {
-    "type": "object",
-    "required": [
-        "alpha_sq",
-        "nonlocal_min_pt_eigenvalue",
-        "local_min_pt_eigenvalue",
-        "nonlocal_classification",
-        "local_classification",
-    ],
-    "properties": {
-        "alpha_sq": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "nonlocal_min_pt_eigenvalue": {"type": "number"},
-        "local_min_pt_eigenvalue": {"type": "number"},
-        "nonlocal_classification": _CLASSIFICATION,
-        "local_classification": _CLASSIFICATION,
-    },
-    "additionalProperties": False,
-}
-
 def _report_schema(run_schema: dict) -> dict:
     return {
         "$schema": "http://json-schema.org/draft-07/schema#",
-        "type": "object",
-        "required": ["version", "schema_version", "request", "runs", "summary"],
-        "properties": {
-            "version": {"type": "string"},
-            "schema_version": {"const": SCHEMA_VERSION},
-            "request": {
-                "type": "object",
-                "required": ["mode", "format"],
-                "properties": {
-                    "mode": {"enum": list(MODES)},
-                    "format": {"enum": list(FORMATS)},
-                    "alpha": {"type": "number"},
-                    "beta": {"type": "number"},
-                    "gamma": {"type": "number"},
-                    "branch1": {"type": "string", "pattern": "^[UD]{3}$"},
-                    "branch2": {"type": "string", "pattern": "^[UD]{3}$"},
-                    "apply_unitaries": {"type": "boolean"},
-                    "sweep_count": {"type": "integer", "minimum": 1},
-                    "seed": {"type": "integer", "minimum": 0},
-                    "grid": {"type": "integer", "minimum": 100},
-                },
-                "additionalProperties": False,
-            },
-            "runs": {"type": "array", "items": run_schema},
-            "summary": {"type": "object"},
-        },
-        "additionalProperties": False,
+        **_closed(
+            {
+                "version": _STRING,
+                "schema_version": {"const": SCHEMA_VERSION},
+                "request": _closed(_REQUEST_FIELDS, ["mode", "format"]),
+                "runs": {"type": "array", "items": run_schema},
+                "summary": {"type": "object"},
+            }
+        ),
     }
 
 
+_PROTOCOL_RUN_SCHEMA = _closed(
+    _RUN_FIELDS, [name for name in _RUN_FIELDS if name not in _OPTIONAL_RUN_FIELDS]
+)
 _RUN_SCHEMA_BY_MODE = {
     "single": _PROTOCOL_RUN_SCHEMA,
     "branches": _PROTOCOL_RUN_SCHEMA,
     "sweep": _PROTOCOL_RUN_SCHEMA,
-    "background": _BACKGROUND_ROW_SCHEMA,
+    "background": _closed(_BACKGROUND_FIELDS),
 }
 
 
@@ -543,36 +472,9 @@ def render_json(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-_PROTOCOL_CSV_COLUMNS = (
-    "run_index",
-    "alpha",
-    "beta",
-    "gamma",
-    "branch1",
-    "branch2",
-    "apply_unitaries",
-    "p1",
-    "p2",
-    "pair",
-    "kind",
-    "min_pt_eigenvalue",
-    "w3",
-    "w4",
-    "negativity",
-    "classification",
-    "paper_claim",
-    "agrees_with_paper",
-    "broadcast_ok",
-)
-
-_BACKGROUND_CSV_COLUMNS = (
-    "alpha_sq",
-    "nonlocal_min_pt_eigenvalue",
-    "local_min_pt_eigenvalue",
-    "nonlocal_classification",
-    "local_classification",
-    "interval_lower",
-    "interval_upper",
+# The per-run cells the protocol csv repeats before each pair row's fields.
+_RUN_CSV_COLUMNS = (
+    "run_index", "alpha", "beta", "gamma", "branch1", "branch2", "apply_unitaries", "p1", "p2"
 )
 
 
@@ -588,49 +490,24 @@ def render_csv(report: dict) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     if report["request"]["mode"] == "background":
-        writer.writerow(_BACKGROUND_CSV_COLUMNS)
+        writer.writerow((*_BACKGROUND_FIELDS, "interval_lower", "interval_upper"))
         interval = report["summary"]["interval"]
+        bounds = [_csv_cell(interval["lower"]), _csv_cell(interval["upper"])]
         for row in report["runs"]:
-            writer.writerow(
-                _csv_cell(v)
-                for v in (
-                    row["alpha_sq"],
-                    row["nonlocal_min_pt_eigenvalue"],
-                    row["local_min_pt_eigenvalue"],
-                    row["nonlocal_classification"],
-                    row["local_classification"],
-                    interval["lower"],
-                    interval["upper"],
-                )
-            )
+            writer.writerow([*(_csv_cell(row[name]) for name in _BACKGROUND_FIELDS), *bounds])
     else:
-        writer.writerow(_PROTOCOL_CSV_COLUMNS)
+        writer.writerow((*_RUN_CSV_COLUMNS, *_PAIR_FIELDS, "broadcast_ok"))
         for record in report["runs"]:
+            params, branches = record["params"], record["branches"]
+            run_cells = (
+                record["index"], params["alpha"], params["beta"], params["gamma"],
+                branches["round1"], branches["round2"],
+                record["apply_unitaries"], record["p1"], record["p2"],
+            )
+            head = [_csv_cell(v) for v in run_cells]
+            tail = _csv_cell(record["broadcast_ok"])
             for row in record["pairs"]:
-                writer.writerow(
-                    _csv_cell(v)
-                    for v in (
-                        record["index"],
-                        record["params"]["alpha"],
-                        record["params"]["beta"],
-                        record["params"]["gamma"],
-                        record["branches"]["round1"],
-                        record["branches"]["round2"],
-                        record["apply_unitaries"],
-                        record["p1"],
-                        record["p2"],
-                        row["pair"],
-                        row["kind"],
-                        row["min_pt_eigenvalue"],
-                        row["w3"],
-                        row["w4"],
-                        row["negativity"],
-                        row["classification"],
-                        row["paper_claim"],
-                        row["agrees_with_paper"],
-                        record["broadcast_ok"],
-                    )
-                )
+                writer.writerow([*head, *(_csv_cell(row[name]) for name in _PAIR_FIELDS), tail])
     return buffer.getvalue()
 
 
@@ -690,13 +567,13 @@ def render_text(report: dict) -> str:
         )
         lines.append(header)
         for row in record["pairs"]:
-            marker = "agrees" if row["agrees_with_paper"] else "DISAGREES"
             lines.append(
                 f"  {row['pair']:<5}{row['kind']:<10}"
                 f"{format15(row['min_pt_eigenvalue']):>22}"
                 f"{format15(row['w3']):>22}{format15(row['w4']):>22}"
                 f"{format15(row['negativity']):>22}  "
-                f"{row['classification']:<11}{row['paper_claim']:<11}{marker}"
+                f"{row['classification']:<11}{row['paper_claim']:<11}"
+                f"{'agrees' if row['agrees_with_paper'] else 'DISAGREES'}"
             )
         lines.append(f"  broadcast_ok: {'true' if record['broadcast_ok'] else 'false'}")
 

@@ -1,8 +1,9 @@
 """The stacked verdict path against the pair-by-pair one.
 
 ``pair_verdicts`` validates and classifies all eleven pair reductions of a
-run as one stack; ``ppt_verdict`` runs the same code on a stack of one.  The
-two must agree bit for bit on every field, on every branch pair.
+run as one stack, and ``two_qubit_broadcast`` does the same with its two
+pairs; ``ppt_verdict`` runs the same code on a stack of one.  The paths must
+agree bit for bit on every field, on every branch pair and grid point.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from wbcast.cloner import BRANCH_ORDER
+from wbcast.cloner import CloneAssignment, clone_qubit
 from wbcast.protocol import (
     ALL_PAIRS,
     PAPER_CLAIMS,
@@ -24,10 +26,12 @@ from wbcast.protocol import (
     prepare_w,
     round_one,
     round_two,
+    two_qubit_broadcast,
 )
 from wbcast.registers import (
     InvariantViolation,
     QubitLabel,
+    StateVector,
     check_density_stack,
     partial_trace,
 )
@@ -35,6 +39,7 @@ from wbcast.report import sweep_params
 from wbcast.separability import PairVerdict, ppt_verdict
 
 D = QubitLabel.data
+M = QubitLabel.machine
 
 TRIPLES = [*sweep_params(3, seed=2008), WParams(1.0, 0.0, 0.0)]
 
@@ -69,6 +74,24 @@ def test_stacked_verdicts_equal_pair_by_pair(params):
                 paper_claim=PAPER_CLAIMS[key],
             )
             _assert_identical(stacked[key], single, f"{branch1}/{branch2} pair {key}")
+
+
+@pytest.mark.parametrize("alpha_sq", [1e-6, 0.05, 0.1, 0.25, 0.5, 0.8, 0.9, 1 - 1e-6])
+def test_background_verdicts_equal_pair_by_pair(alpha_sq):
+    amps = np.zeros(4, dtype=complex)
+    amps[0b00] = np.sqrt(alpha_sq)
+    amps[0b11] = np.sqrt(1.0 - alpha_sq)
+    state = StateVector((D(1), D(2)), amps)
+    state = clone_qubit(state, CloneAssignment(D(1), D(4), M("A", 1)))
+    state = clone_qubit(state, CloneAssignment(D(2), D(5), M("B", 1)))
+
+    result = two_qubit_broadcast(alpha_sq)
+    for stacked, (a, b) in (
+        (result.nonlocal_verdict, (1, 5)),
+        (result.local_verdict, (1, 4)),
+    ):
+        single = ppt_verdict(partial_trace(state, {D(a), D(b)}))
+        _assert_identical(stacked, single, f"alpha_sq={alpha_sq!r} pair {a}{b}")
 
 
 def _valid_two_qubit_states(count: int) -> list[np.ndarray]:
