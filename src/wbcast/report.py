@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -35,6 +34,7 @@ from .protocol import (
     two_qubit_broadcast,
 )
 from .registers import InvariantViolation
+from .schema import DRAFT7, compile_schema
 from .separability import ENTANGLED, SEPARABLE, PairVerdict
 
 SCHEMA_VERSION = 1
@@ -419,15 +419,16 @@ RUNNERS = {
 # Schema
 
 
-def _report_schema(run_schema: dict) -> dict:
+def report_schema(mode: str) -> dict:
+    """The Draft-7 JSON schema every report of ``mode`` satisfies."""
     return {
-        "$schema": "http://json-schema.org/draft-07/schema#",
+        "$schema": DRAFT7,
         **_closed(
             {
                 "version": _STRING,
                 "schema_version": {"const": SCHEMA_VERSION},
                 "request": _closed(_REQUEST_FIELDS, ["mode", "format"]),
-                "runs": {"type": "array", "items": run_schema},
+                "runs": {"type": "array", "items": _RUN_SCHEMA_BY_MODE[mode]},
                 "summary": {"type": "object"},
             }
         ),
@@ -446,11 +447,9 @@ _RUN_SCHEMA_BY_MODE = {
 
 
 @functools.lru_cache(maxsize=None)
-def _validator(mode: str) -> jsonschema.Draft7Validator:
-    """The compiled validator for one mode, built and checked on first use."""
-    schema = _report_schema(_RUN_SCHEMA_BY_MODE[mode])
-    jsonschema.Draft7Validator.check_schema(schema)
-    return jsonschema.Draft7Validator(schema)
+def _checker(mode: str):
+    """The compiled check of one mode's schema, built on first use."""
+    return compile_schema(report_schema(mode))
 
 
 def validate_report(report: dict) -> None:
@@ -458,10 +457,9 @@ def validate_report(report: dict) -> None:
     mode = request.get("mode") if isinstance(request, dict) else None
     # Every mode's schema requires a known request.mode, so a report with a
     # missing or unknown mode fails whichever schema checks it.
-    validator = _validator(mode if mode in MODES else MODES[0])
-    error = jsonschema.exceptions.best_match(validator.iter_errors(report))
+    error = _checker(mode if mode in MODES else MODES[0])(report)
     if error is not None:
-        raise InvariantViolation(f"report failed schema validation: {error.message}")
+        raise InvariantViolation(f"report failed schema validation: {error}")
 
 
 # ---------------------------------------------------------------------------

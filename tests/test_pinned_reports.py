@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from wbcast.cli import main
-from wbcast.report import MODES, _validator
+from wbcast.report import MODES, report_schema
 
 DIGESTS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
@@ -81,5 +81,5 @@ def test_report_bytes_match_stored_digest(invocation, capsys):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_schema_matches_stored_digest(mode):
-    schema = _validator(mode).schema
+    schema = report_schema(mode)
     assert _sha256(json.dumps(schema, sort_keys=True)) == SCHEMA_DIGESTS[mode]

@@ -202,6 +202,31 @@ class TestSchema:
         with pytest.raises(InvariantViolation, match="schema"):
             validate_report(bad)
 
+    @pytest.mark.parametrize(
+        ("mutate", "message"),
+        [
+            (
+                lambda r: r["runs"][0]["pairs"][0].update(classification="MAYBE"),
+                "$.runs[0].pairs[0].classification: 'MAYBE' is not one of "
+                "['SEPARABLE', 'ENTANGLED']",
+            ),
+            (
+                lambda r: r["runs"][0].pop("broadcast_ok"),
+                "$.runs[0]: 'broadcast_ok' is a required property",
+            ),
+            (
+                lambda r: r.update(extra="x"),
+                "$: Additional properties are not allowed ('extra' was unexpected)",
+            ),
+        ],
+    )
+    def test_failure_names_path_and_rule(self, single_report, mutate, message):
+        bad = copy.deepcopy(single_report)
+        mutate(bad)
+        with pytest.raises(InvariantViolation) as exc:
+            validate_report(bad)
+        assert str(exc.value) == f"report failed schema validation: {message}"
+
     def test_runs_checked_against_their_mode_schema(
         self, single_report, background_report
     ):
