@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 on success, 2 for invalid input, 3 for a measurement branch of
-zero probability, 4 when an internal invariant check fails.
+zero probability, 4 when an internal invariant check fails (a NaN or infinite
+report value included).
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ def _params_from_args(args: argparse.Namespace) -> WParams:
 
 
 def _request_from_args(args: argparse.Namespace) -> RunRequest:
-    common = {"out": args.out, "fmt": args.fmt}
     if args.mode == "single":
         return RunRequest(
             mode="single",
@@ -111,14 +111,14 @@ def _request_from_args(args: argparse.Namespace) -> RunRequest:
             branch1=args.branch1,
             branch2=args.branch2,
             apply_unitaries=not args.no_unitaries,
-            **common,
+            fmt=args.fmt,
         )
     if args.mode == "branches":
         return RunRequest(
             mode="branches",
             params=_params_from_args(args),
             apply_unitaries=not args.no_unitaries,
-            **common,
+            fmt=args.fmt,
         )
     if args.mode == "sweep":
         return RunRequest(
@@ -126,9 +126,9 @@ def _request_from_args(args: argparse.Namespace) -> RunRequest:
             sweep_count=args.sweep,
             seed=args.seed,
             apply_unitaries=not args.no_unitaries,
-            **common,
+            fmt=args.fmt,
         )
-    return RunRequest(mode="background", grid=args.grid, **common)
+    return RunRequest(mode="background", grid=args.grid, fmt=args.fmt)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -149,12 +149,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wbcast: {exc}", file=sys.stderr)
         return EXIT_INVARIANT_VIOLATION
 
-    if request.out:
+    if args.out:
         try:
-            with open(request.out, "w", encoding="utf-8", newline="") as handle:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(rendered)
         except OSError as exc:
-            print(f"wbcast: cannot write {request.out}: {exc.strerror}", file=sys.stderr)
+            print(f"wbcast: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return EXIT_INVALID_INPUT
     else:
         sys.stdout.write(rendered)

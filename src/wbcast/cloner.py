@@ -87,7 +87,7 @@ class CloneAssignment:
 
 @functools.cache
 def bh_isometry() -> Operator:
-    """The cloning isometry as an unbound operator from 1 qubit to 3 wires.
+    """The cloning isometry from 1 qubit to 3 wires (source, clone, machine).
     Built and checked once; every call returns the same immutable operator."""
     heavy = math.sqrt(2.0 / 3.0)
     light = math.sqrt(1.0 / 6.0)
@@ -102,17 +102,10 @@ def bh_isometry() -> Operator:
     return Operator(m)
 
 
-@functools.lru_cache(maxsize=64)
-def _bound_isometry(assignment: CloneAssignment) -> Operator:
-    return bh_isometry().bound_to(
-        (assignment.source,),
-        (assignment.source, assignment.clone, assignment.machine),
-    )
-
-
 def clone_qubit(state: StateVector, assignment: CloneAssignment) -> StateVector:
     """Clone one wire of the register, growing it by a clone and a machine wire."""
-    return apply_to_targets(state, _bound_isometry(assignment), (assignment.source,))
+    a = assignment
+    return apply_to_targets(state, bh_isometry(), (a.source,), (a.clone, a.machine))
 
 
 def measure_machines(

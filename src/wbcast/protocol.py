@@ -72,8 +72,8 @@ def pair_key(pair: tuple[int, int]) -> str:
 class WParams:
     """Real amplitudes (alpha, beta, gamma) of the shared W-type state.
 
-    Inputs whose squared norm is within 1e-6 of 1 are renormalized exactly;
-    anything farther off is rejected.
+    A squared norm within 1e-9 of 1 is kept as given, one within 1e-6 is
+    renormalized, and anything farther off is rejected.
     """
 
     alpha: float

@@ -10,7 +10,6 @@ second storage format.  All values are immutable after construction.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -178,15 +177,11 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Operator:
-    """An isometry on a fixed number of qubits, optionally bound to wire names.
-
-    The matrix has shape (2**n_out, 2**n_in) with n_out >= n_in and must
-    satisfy M^dagger M = identity; square operators are therefore unitary.
-    """
+    """A checked isometry matrix of shape (2**n_out, 2**n_in), n_out >= n_in,
+    with M^dagger M = identity; square operators are therefore unitary.
+    The wires it reads and writes are named where it is applied."""
 
     matrix: np.ndarray
-    in_labels: tuple[QubitLabel, ...] | None = None
-    out_labels: tuple[QubitLabel, ...] | None = None
 
     def __post_init__(self) -> None:
         m = _freeze(self.matrix)
@@ -196,26 +191,9 @@ class Operator:
             raise ValueError(f"operator shape {m.shape} is not a qubit isometry shape")
         gram = m.conj().T @ m
         dev = float(np.max(np.abs(gram - np.eye(cols))))
-        if dev > ATOL_ALGEBRA:
+        if not dev <= ATOL_ALGEBRA:  # NaN fails too
             raise ValueError(f"matrix is not an isometry (max |M^dag M - I| = {dev:.3e})")
         object.__setattr__(self, "matrix", m)
-        self._bind(self.in_labels, self.out_labels)
-
-    def _bind(
-        self,
-        in_labels: Sequence[QubitLabel] | None,
-        out_labels: Sequence[QubitLabel] | None,
-    ) -> None:
-        if in_labels is not None:
-            in_labels = tuple(in_labels)
-            if len(in_labels) != self.n_in:
-                raise ValueError("in_labels length does not match matrix shape")
-        if out_labels is not None:
-            out_labels = tuple(out_labels)
-            if len(out_labels) != self.n_out:
-                raise ValueError("out_labels length does not match matrix shape")
-        object.__setattr__(self, "in_labels", in_labels)
-        object.__setattr__(self, "out_labels", out_labels)
 
     @property
     def n_in(self) -> int:
@@ -224,19 +202,6 @@ class Operator:
     @property
     def n_out(self) -> int:
         return self.matrix.shape[0].bit_length() - 1
-
-    @property
-    def is_unitary(self) -> bool:
-        return self.matrix.shape[0] == self.matrix.shape[1]
-
-    def bound_to(
-        self, in_labels: Sequence[QubitLabel], out_labels: Sequence[QubitLabel]
-    ) -> "Operator":
-        """The same matrix bound to wire names.  The matrix was checked when
-        this operator was built, so binding does not check it again."""
-        bound = copy.copy(self)
-        bound._bind(in_labels, out_labels)
-        return bound
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -309,21 +274,22 @@ def check_density_stack(rhos: np.ndarray, names: Sequence[str]) -> np.ndarray:
     matrices (shape (k, d, d)) and return their ascending spectra (k, d).
 
     The first failing member is named in the InvariantViolation, together
-    with the size of its deviation.
+    with the size of its deviation.  Every check is written so that NaN
+    fails it.
     """
     herm_dev = np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    for i in np.flatnonzero(herm_dev > ATOL_ALGEBRA):
+    for i in np.flatnonzero(~(herm_dev <= ATOL_ALGEBRA)):
         raise InvariantViolation(
             f"density matrix of {names[i]} not Hermitian (dev {herm_dev[i]:.3e})"
         )
     trace_dev = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
-    for i in np.flatnonzero(trace_dev > ATOL_ALGEBRA):
+    for i in np.flatnonzero(~(trace_dev <= ATOL_ALGEBRA)):
         raise InvariantViolation(
             f"density matrix of {names[i]} trace off by {trace_dev[i]:.3e}"
         )
     spectra = np.linalg.eigvalsh(rhos)
     low = np.min(spectra, axis=-1)
-    for i in np.flatnonzero(low < -ATOL_PSD):
+    for i in np.flatnonzero(~(low >= -ATOL_PSD)):
         raise InvariantViolation(
             f"density matrix of {names[i]} has eigenvalue {low[i]:.3e} < -{ATOL_PSD}"
         )
@@ -334,10 +300,9 @@ def check_density_stack(rhos: np.ndarray, names: Sequence[str]) -> np.ndarray:
 def _apply_plan(
     labels: tuple[QubitLabel, ...],
     targets: tuple[QubitLabel, ...],
+    fresh: tuple[QubitLabel, ...],
     n_in: int,
-    in_labels: tuple[QubitLabel, ...] | None,
-    out_labels: tuple[QubitLabel, ...] | None,
-    is_unitary: bool,
+    n_out: int,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[QubitLabel, ...]]:
     """Label checks, target axes, canonical permutation and result labels of
     one operator application.  They depend on the label tuples only; a
@@ -351,42 +316,40 @@ def _apply_plan(
         raise ValueError(
             f"operator acts on {n_in} qubits but {len(targets)} targets given"
         )
-    if in_labels is not None and in_labels != targets:
-        raise ValueError("operator is bound to different input labels")
-
-    if is_unitary:
-        out_labels = targets
-    else:
-        if out_labels is None:
-            raise ValueError("isometry application requires bound output labels")
-        fresh = [l for l in out_labels if l not in targets]
-        for l in fresh:
-            if l in labels:
-                raise ValueError(f"fresh output label {l} already in register")
-        if len(set(out_labels)) != len(out_labels):
-            raise ValueError("duplicate output labels")
+    if len(fresh) != n_out - n_in:
+        raise ValueError(
+            f"operator needs {n_out - n_in} fresh labels but {len(fresh)} given"
+        )
+    if len(set(fresh)) != len(fresh):
+        raise ValueError("duplicate fresh labels")
+    for l in fresh:
+        if l in labels:
+            raise ValueError(f"fresh output label {l} already in register")
 
     spectators = tuple(l for l in labels if l not in targets)
     target_axes = tuple(labels.index(t) for t in targets)
-    labels_after = out_labels + spectators
+    labels_after = targets + fresh + spectators
     perm = tuple(sorted(range(len(labels_after)), key=lambda i: labels_after[i].sort_key))
     return target_axes, perm, tuple(labels_after[i] for i in perm)
 
 
 def apply_to_targets(
-    state: StateVector, op: Operator, targets: Sequence[QubitLabel]
+    state: StateVector,
+    op: Operator,
+    targets: Sequence[QubitLabel],
+    fresh: Sequence[QubitLabel] = (),
 ) -> StateVector:
     """Apply an operator to named wires, identity elsewhere.
 
-    Square operators replace the target wires in place.  Proper isometries grow
-    the register: the operator must be bound, and every output label beyond the
-    targets must be absent from the register (fresh labels are always supplied
-    explicitly, never invented here).  The result is re-sorted to canonical
-    label order.
+    The operator reads ``targets`` and writes ``targets + fresh``: a unitary
+    takes no fresh labels and replaces the targets in place, and an isometry
+    from n_in to n_out qubits takes n_out - n_in fresh labels, none of them
+    already in the register.  The result is re-sorted to canonical label
+    order.
     """
     n_in, n_out = op.n_in, op.n_out
     target_axes, perm, new_labels = _apply_plan(
-        state.labels, tuple(targets), n_in, op.in_labels, op.out_labels, op.is_unitary
+        state.labels, tuple(targets), tuple(fresh), n_in, n_out
     )
     m = op.matrix.reshape((2,) * (n_out + n_in))
     out = np.tensordot(m, state.tensor(), axes=(list(range(n_out, n_out + n_in)), target_axes))
@@ -452,6 +415,6 @@ def hermitian_spectrum(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     adjoint = matrix.conj().swapaxes(-1, -2)
     dev = float(np.max(np.abs(matrix - adjoint)))
-    if dev > ATOL_PSD:
+    if not dev <= ATOL_PSD:  # NaN fails too
         raise ValueError(f"matrix is not Hermitian (max asymmetry {dev:.3e})")
     return np.linalg.eigvalsh(0.5 * (matrix + adjoint))

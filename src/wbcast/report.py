@@ -2,7 +2,8 @@
 
 Reports are plain JSON-compatible dictionaries.  Every float is rounded to 15
 significant digits before emission, so identical requests (and identical
-seeds) produce byte-identical output in every format.  Probabilities that sit
+seeds) produce byte-identical output in every format; a NaN or infinity is
+an invariant failure.  Probabilities that sit
 within 1e-12 of a small rational p/q (q <= 1000) get a fraction annotation
 alongside the numeric value.
 """
@@ -13,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -60,7 +62,6 @@ class RunRequest:
     sweep_count: int | None = None
     seed: int | None = None
     grid: int | None = None
-    out: str | None = None
     fmt: str = "json"
 
     def __post_init__(self) -> None:
@@ -102,13 +103,17 @@ def fraction_note(x: float) -> str | None:
     return None
 
 
-def _round_floats(obj):
+def _round_floats(obj, key: str | None = None):
+    """Round every float to 15 digits.  A NaN or infinity, which JSON cannot
+    carry, raises an InvariantViolation naming the key it sits under."""
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise InvariantViolation(f"report field {key!r} is not finite ({obj})")
         return round15(obj)
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {k: _round_floats(v, k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+        return [_round_floats(v, key) for v in obj]
     return obj
 
 
@@ -467,7 +472,7 @@ def validate_report(report: dict) -> None:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 # The per-run cells the protocol csv repeats before each pair row's fields.

@@ -55,7 +55,7 @@ def _w_stack(pts: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndar
     w4 = np.linalg.det(pts)
     for i, name in enumerate(names):
         for witness, value in (("W3", w3[i]), ("W4", w4[i])):
-            if abs(value.imag) > ATOL_PSD:
+            if not abs(value.imag) <= ATOL_PSD:  # NaN fails too
                 raise InvariantViolation(
                     f"{witness} of {name} has imaginary residue {value.imag:.3e}"
                 )

@@ -99,6 +99,10 @@ class TestStateVector:
             StateVector((D(1),), np.zeros(2)).normalized()
 
 
+# |0> -> |00>, |1> -> |11>: one qubit in, the input and a fresh copy out.
+_COPY_ISOMETRY = np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex)
+
+
 class TestApplyToTargets:
     def test_sigma_y_on_zero(self):
         s = StateVector.basis((D(1),), "0")
@@ -138,25 +142,32 @@ class TestApplyToTargets:
             assert abs(out.norm() - 1.0) < 1e-12
 
     def test_isometry_grows_register(self):
-        iso = Operator(np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex))
-        bound = iso.bound_to((D(1),), (D(1), D(2)))
+        iso = Operator(_COPY_ISOMETRY)
         s = StateVector.basis((D(1),), "1")
-        out = apply_to_targets(s, bound, (D(1),))
+        out = apply_to_targets(s, iso, (D(1),), fresh=(D(2),))
         assert out.labels == (D(1), D(2))
         assert out.amplitude("11") == 1
 
-    def test_unbound_isometry_rejected(self):
-        iso = Operator(np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex))
+    def test_fresh_label_count_must_match_operator(self):
         s = StateVector.basis((D(1),), "1")
-        with pytest.raises(ValueError, match="bound"):
-            apply_to_targets(s, iso, (D(1),))
+        iso = Operator(_COPY_ISOMETRY)
+        for fresh in ((), (D(2), D(3))):
+            with pytest.raises(ValueError, match="needs 1 fresh labels"):
+                apply_to_targets(s, iso, (D(1),), fresh=fresh)
+        with pytest.raises(ValueError, match="needs 0 fresh labels but 1 given"):
+            apply_to_targets(s, Operator(PAULI_X), (D(1),), fresh=(D(2),))
 
     def test_fresh_label_collision_rejected(self):
-        iso = Operator(np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex))
-        bound = iso.bound_to((D(1),), (D(1), D(2)))
+        iso = Operator(_COPY_ISOMETRY)
         s = StateVector.basis((D(1), D(2)), "10")
         with pytest.raises(ValueError, match="2"):
-            apply_to_targets(s, bound, (D(1),))
+            apply_to_targets(s, iso, (D(1),), fresh=(D(2),))
+
+    def test_duplicate_fresh_labels_rejected(self):
+        iso = Operator(np.eye(8)[:, :2])  # one qubit in, three out
+        s = StateVector.basis((D(1),), "1")
+        with pytest.raises(ValueError, match="duplicate fresh"):
+            apply_to_targets(s, iso, (D(1),), fresh=(D(2), D(2)))
 
     def test_unknown_target_rejected(self):
         s = StateVector.basis((D(1),), "0")
@@ -173,26 +184,30 @@ class TestApplyToTargets:
         out = apply_to_targets(s, Operator(PAULI_X), (D(1),))
         assert out.amplitude("00") == 1
 
+    def test_failed_fresh_label_plan_raises_on_every_call(self):
+        iso = Operator(_COPY_ISOMETRY)
+        s = StateVector.basis((D(1), D(2)), "10")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="already in register"):
+                apply_to_targets(s, iso, (D(1),), fresh=(D(2),))
+        out = apply_to_targets(s, iso, (D(1),), fresh=(D(3),))
+        assert out.labels == (D(1), D(2), D(3))
+        assert out.amplitude("101") == 1
+
 
 class TestOperator:
     def test_non_isometry_rejected(self):
         with pytest.raises(ValueError, match="isometry"):
             Operator(np.array([[1, 0], [0, 2]], dtype=complex))
 
+    def test_nan_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"not an isometry \(max \|M\^dag M - I\| = nan\)"):
+            Operator(np.full((2, 2), np.nan))
+
     def test_pauli_matrices_are_unitary(self):
         for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
-            assert Operator(pauli).is_unitary
-
-    def test_bound_to_keeps_matrix_and_checks_label_counts(self):
-        iso = Operator(np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex))
-        bound = iso.bound_to([D(1)], [D(1), D(2)])
-        assert bound.matrix is iso.matrix
-        assert bound.in_labels == (D(1),) and bound.out_labels == (D(1), D(2))
-        assert iso.in_labels is None and iso.out_labels is None
-        with pytest.raises(ValueError, match="in_labels"):
-            iso.bound_to((D(1), D(2)), (D(1), D(2)))
-        with pytest.raises(ValueError, match="out_labels"):
-            iso.bound_to((D(1),), (D(1),))
+            op = Operator(pauli)
+            assert op.n_in == op.n_out == 1
 
 
 class TestPartialTrace:
@@ -291,6 +306,10 @@ class TestHermitianSpectrum:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_spectrum(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match=r"not Hermitian \(max asymmetry nan\)"):
+            hermitian_spectrum(np.full((2, 2), np.nan))
 
 
 class TestDensityMatrix:

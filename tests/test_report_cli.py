@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
 
 import pytest
 
+from wbcast import report as report_module
 from wbcast.cli import main
 from wbcast.cloner import ImpossibleBranchError, MachineBranch
-from wbcast.protocol import WParams
+from wbcast.protocol import WParams, two_qubit_broadcast
 from wbcast.registers import InvariantViolation
 from wbcast.report import (
     RUNNERS,
@@ -469,3 +471,21 @@ class TestCli:
         monkeypatch.setitem(RUNNERS, "single", boom)
         assert main(ARGS_SINGLE) == 4
         assert "synthetic failure" in capsys.readouterr().err
+
+    def test_non_finite_report_value_exit_4(self, capsys, monkeypatch):
+        def nan_broadcast(alpha_sq):
+            result = two_qubit_broadcast(alpha_sq)
+            verdict = dataclasses.replace(result.local_verdict, min_pt_eigenvalue=math.nan)
+            return dataclasses.replace(result, local_verdict=verdict)
+
+        monkeypatch.setattr(report_module, "two_qubit_broadcast", nan_broadcast)
+        assert main(["background", "--grid", "100"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'local_min_pt_eigenvalue' is not finite (nan)" in captured.err
+
+    def test_json_refuses_non_finite_values(self, single_report):
+        broken = copy.deepcopy(single_report)
+        broken["runs"][0]["p1"] = math.inf
+        with pytest.raises(ValueError):
+            render_json(broken)

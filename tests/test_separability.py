@@ -7,11 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from wbcast.registers import DensityMatrix, QubitLabel, StateVector, partial_trace
+from wbcast.registers import (
+    DensityMatrix,
+    InvariantViolation,
+    QubitLabel,
+    StateVector,
+    partial_trace,
+)
 from wbcast.separability import (
     ENTANGLED,
     SEPARABLE,
     PairVerdict,
+    _w_stack,
     ppt_verdict,
 )
 
@@ -177,3 +184,9 @@ class TestVerdictFields:
             ppt_verdict(_bell_dm(), paper_claim="MAYBE")
         with pytest.raises(ValueError, match="labels"):
             ppt_verdict(_bell_dm(), pair=(D(1), D(3)))
+
+    def test_nan_witness_rejected(self):
+        pts = np.stack([np.eye(4, dtype=complex) / 4, np.full((4, 4), np.nan, dtype=complex)])
+        with np.errstate(invalid="ignore"):  # det warns on NaN input
+            with pytest.raises(InvariantViolation, match="W3 of 58 has imaginary residue nan"):
+                _w_stack(pts, ("15", "58"))

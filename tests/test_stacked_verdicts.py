@@ -126,6 +126,14 @@ class TestStackFailuresNameTheirMember:
         with pytest.raises(InvariantViolation, match=r"pair 69 trace off by 1\.000e\+00"):
             check_density_stack(np.stack(stack), self.NAMES)
 
+    def test_nan_member(self):
+        # NaN fails every comparison, so each check is written to fail on it;
+        # the stack never reaches eigvalsh.
+        stack = _valid_two_qubit_states(4)
+        stack[3] = np.full((4, 4), np.nan, dtype=complex)
+        with pytest.raises(InvariantViolation, match=r"pair 69 not Hermitian \(dev nan\)"):
+            check_density_stack(np.stack(stack), self.NAMES)
+
     def test_valid_stack_returns_each_spectrum(self):
         stack = np.stack(_valid_two_qubit_states(4))
         spectra = check_density_stack(stack, self.NAMES)
