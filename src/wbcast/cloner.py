@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .registers import Operator, QubitLabel, StateVector, apply_to_targets
+from .registers import InvariantViolation, Operator, QubitLabel, StateVector, apply_to_targets
 
 # A branch with squared projection norm below this is treated as impossible.
 MIN_BRANCH_PROBABILITY = 1e-14
@@ -116,7 +116,10 @@ def measure_machines(
     """Project the three machine wires onto a branch and drop them.
 
     Returns the renormalized post-measurement state and the branch probability
-    (the squared projection norm before renormalization).
+    (the squared projection norm before renormalization).  A probability below
+    ``MIN_BRANCH_PROBABILITY`` raises ``ImpossibleBranchError``; a NaN or
+    infinite one means the state itself is broken and raises
+    ``InvariantViolation``.
     """
     machines = tuple(machines)
     if len(machines) != 3 or len(set(machines)) != 3:
@@ -129,6 +132,8 @@ def measure_machines(
     sub = state.tensor()[tuple(index)]
 
     probability = float(np.sum(np.abs(sub) ** 2))
+    if not math.isfinite(probability):
+        raise InvariantViolation(f"branch {branch} has probability {probability}")
     if probability < MIN_BRANCH_PROBABILITY:
         raise ImpossibleBranchError(
             f"branch {branch} has probability {probability:.3e}"

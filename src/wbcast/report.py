@@ -11,7 +11,6 @@ alongside the numeric value.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -36,7 +35,7 @@ from .protocol import (
     two_qubit_broadcast,
 )
 from .registers import InvariantViolation
-from .schema import DRAFT7, compile_schema
+from .schema import DRAFT7, Field, SchemaFailure, array, closed, const, enum, typed
 from .separability import ENTANGLED, SEPARABLE, PairVerdict
 
 SCHEMA_VERSION = 1
@@ -121,34 +120,23 @@ def _round_floats(obj, key: str | None = None):
 # Field tables
 
 
-def _closed(properties: dict, required: list[str] | None = None) -> dict:
-    """An object schema allowing only ``properties``; all of them are
-    required unless ``required`` names a subset."""
-    return {
-        "type": "object",
-        "required": list(properties) if required is None else required,
-        "properties": properties,
-        "additionalProperties": False,
-    }
+_NUMBER = typed("number")
+_PROBABILITY = typed("number", exclusiveMinimum=0)
+_COUNT = typed("integer", minimum=0)
+_BOOLEAN = typed("boolean")
+_STRING = typed("string")
+_BRANCH = typed("string", pattern="^[UD]{3}$")
+_CLASSIFICATION = enum(SEPARABLE, ENTANGLED)
 
-
-_NUMBER = {"type": "number"}
-_PROBABILITY = {"type": "number", "exclusiveMinimum": 0}
-_COUNT = {"type": "integer", "minimum": 0}
-_BOOLEAN = {"type": "boolean"}
-_STRING = {"type": "string"}
-_BRANCH = {"type": "string", "pattern": "^[UD]{3}$"}
-_CLASSIFICATION = {"enum": [SEPARABLE, ENTANGLED]}
-
-# Each row kind's fields, in report order, with their schema fragments.  The
+# Each row kind's fields, in report order, with their schema fields.  The
 # report schema and the csv columns are derived from these tables.
 _PAIR_FIELDS = {
-    "pair": {"type": "string", "pattern": "^[1-9]{2}$"},
-    "kind": {"enum": ["nonlocal", "local"]},
+    "pair": typed("string", pattern="^[1-9]{2}$"),
+    "kind": enum("nonlocal", "local"),
     "min_pt_eigenvalue": _NUMBER,
     "w3": _NUMBER,
     "w4": _NUMBER,
-    "negativity": {"type": "number", "minimum": 0},
+    "negativity": typed("number", minimum=0),
     "classification": _CLASSIFICATION,
     "paper_claim": _CLASSIFICATION,
     "agrees_with_paper": _BOOLEAN,
@@ -158,7 +146,7 @@ _PAIR_FIELDS = {
 _VERDICT_FIELDS = tuple(_PAIR_FIELDS)[2:]
 
 _BACKGROUND_FIELDS = {
-    "alpha_sq": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    "alpha_sq": typed("number", exclusiveMinimum=0, exclusiveMaximum=1),
     "nonlocal_min_pt_eigenvalue": _NUMBER,
     "local_min_pt_eigenvalue": _NUMBER,
     "nonlocal_classification": _CLASSIFICATION,
@@ -167,30 +155,30 @@ _BACKGROUND_FIELDS = {
 
 _RUN_FIELDS = {
     "index": _COUNT,
-    "params": _closed({"alpha": _NUMBER, "beta": _NUMBER, "gamma": _NUMBER}),
+    "params": closed({"alpha": _NUMBER, "beta": _NUMBER, "gamma": _NUMBER}),
     "degenerate_input": _BOOLEAN,
-    "branches": _closed({"round1": _BRANCH, "round2": _BRANCH}),
+    "branches": closed({"round1": _BRANCH, "round2": _BRANCH}),
     "apply_unitaries": _BOOLEAN,
     "p1": _PROBABILITY,
     "p2": _PROBABILITY,
     "p1_fraction": _STRING,
     "p2_fraction": _STRING,
     "joint_probability": _PROBABILITY,
-    "five_qubit": _closed(
+    "five_qubit": closed(
         {
-            "labels": {"type": "array", "items": _STRING, "minItems": 5, "maxItems": 5},
+            "labels": array(_STRING, minItems=5, maxItems=5),
             "trace": _NUMBER,
             "purity": _NUMBER,
-            "eigenvalues": {"type": "array", "items": _NUMBER, "minItems": 32, "maxItems": 32},
+            "eigenvalues": array(_NUMBER, minItems=32, maxItems=32),
         }
     ),
-    "pairs": {"type": "array", "items": _closed(_PAIR_FIELDS), "minItems": 11, "maxItems": 11},
+    "pairs": array(closed(_PAIR_FIELDS), minItems=11, maxItems=11),
     "broadcast_ok": _BOOLEAN,
-    "paper_agreement": _closed(
+    "paper_agreement": closed(
         {
             "agree": _COUNT,
             "disagree": _COUNT,
-            "disagreeing_pairs": {"type": "array", "items": _STRING},
+            "disagreeing_pairs": array(_STRING),
         }
     ),
     "note": _STRING,
@@ -198,17 +186,17 @@ _RUN_FIELDS = {
 _OPTIONAL_RUN_FIELDS = ("p1_fraction", "p2_fraction", "note")
 
 _REQUEST_FIELDS = {
-    "mode": {"enum": list(MODES)},
-    "format": {"enum": list(FORMATS)},
+    "mode": enum(*MODES),
+    "format": enum(*FORMATS),
     "alpha": _NUMBER,
     "beta": _NUMBER,
     "gamma": _NUMBER,
     "branch1": _BRANCH,
     "branch2": _BRANCH,
     "apply_unitaries": _BOOLEAN,
-    "sweep_count": {"type": "integer", "minimum": 1},
+    "sweep_count": typed("integer", minimum=1),
     "seed": _COUNT,
-    "grid": {"type": "integer", "minimum": 100},
+    "grid": typed("integer", minimum=100),
 }
 
 
@@ -357,7 +345,7 @@ def run_branches(request: RunRequest) -> dict:
     total = 0.0
     for record in records:
         total += record["joint_probability"]
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise InvariantViolation(
             f"branch probabilities sum to {total!r}, expected 1 within 1e-10"
         )
@@ -424,47 +412,43 @@ RUNNERS = {
 # Schema
 
 
-def report_schema(mode: str) -> dict:
-    """The Draft-7 JSON schema every report of ``mode`` satisfies."""
-    return {
-        "$schema": DRAFT7,
-        **_closed(
-            {
-                "version": _STRING,
-                "schema_version": {"const": SCHEMA_VERSION},
-                "request": _closed(_REQUEST_FIELDS, ["mode", "format"]),
-                "runs": {"type": "array", "items": _RUN_SCHEMA_BY_MODE[mode]},
-                "summary": {"type": "object"},
-            }
-        ),
-    }
+def _report_field(run: Field) -> Field:
+    return closed(
+        {
+            "version": _STRING,
+            "schema_version": const(SCHEMA_VERSION),
+            "request": closed(_REQUEST_FIELDS, ["mode", "format"]),
+            "runs": array(run),
+            "summary": typed("object"),
+        }
+    )
 
 
-_PROTOCOL_RUN_SCHEMA = _closed(
-    _RUN_FIELDS, [name for name in _RUN_FIELDS if name not in _OPTIONAL_RUN_FIELDS]
+_PROTOCOL_REPORT = _report_field(
+    closed(_RUN_FIELDS, [name for name in _RUN_FIELDS if name not in _OPTIONAL_RUN_FIELDS])
 )
-_RUN_SCHEMA_BY_MODE = {
-    "single": _PROTOCOL_RUN_SCHEMA,
-    "branches": _PROTOCOL_RUN_SCHEMA,
-    "sweep": _PROTOCOL_RUN_SCHEMA,
-    "background": _closed(_BACKGROUND_FIELDS),
+_REPORT_FIELDS = {
+    "single": _PROTOCOL_REPORT,
+    "branches": _PROTOCOL_REPORT,
+    "sweep": _PROTOCOL_REPORT,
+    "background": _report_field(closed(_BACKGROUND_FIELDS)),
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _checker(mode: str):
-    """The compiled check of one mode's schema, built on first use."""
-    return compile_schema(report_schema(mode))
+def report_schema(mode: str) -> dict:
+    """The Draft-7 JSON schema every report of ``mode`` satisfies."""
+    return {"$schema": DRAFT7, **_REPORT_FIELDS[mode].schema}
 
 
 def validate_report(report: dict) -> None:
-    request = report.get("request")
+    request = report.get("request") if isinstance(report, dict) else None
     mode = request.get("mode") if isinstance(request, dict) else None
-    # Every mode's schema requires a known request.mode, so a report with a
-    # missing or unknown mode fails whichever schema checks it.
-    error = _checker(mode if mode in MODES else MODES[0])(report)
-    if error is not None:
-        raise InvariantViolation(f"report failed schema validation: {error}")
+    # Every mode's schema requires an object with a known request.mode, so a
+    # report with a missing or unknown mode fails whichever schema checks it.
+    try:
+        _REPORT_FIELDS[mode if mode in MODES else MODES[0]].check(report)
+    except SchemaFailure as failure:
+        raise InvariantViolation(f"report failed schema validation: {failure}") from None
 
 
 # ---------------------------------------------------------------------------

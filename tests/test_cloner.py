@@ -18,7 +18,7 @@ from wbcast.cloner import (
     clone_qubit,
     measure_machines,
 )
-from wbcast.registers import QubitLabel, StateVector, partial_trace
+from wbcast.registers import InvariantViolation, QubitLabel, StateVector, partial_trace
 
 from oracles import branch_probability, clone_block, kron_all, random_pure_state
 
@@ -190,6 +190,13 @@ class TestMeasureMachines:
         # No cloning performed: machines in |000> can never read "down".
         s = StateVector.basis((D(1), *self.MACHINES), "0000")
         with pytest.raises(ImpossibleBranchError):
+            measure_machines(s, MachineBranch.from_string("UUD"), self.MACHINES)
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+    def test_non_finite_probability_is_an_invariant_failure(self, amplitude):
+        # Not an impossible branch (exit 3): the state itself is broken.
+        s = StateVector((D(1), *self.MACHINES), np.full(16, amplitude, dtype=complex))
+        with pytest.raises(InvariantViolation, match="branch UUD has probability"):
             measure_machines(s, MachineBranch.from_string("UUD"), self.MACHINES)
 
     def test_requires_three_distinct_machines(self):

@@ -229,6 +229,14 @@ class TestSchema:
             validate_report(bad)
         assert str(exc.value) == f"report failed schema validation: {message}"
 
+    @pytest.mark.parametrize(("report", "shown"), [([], "[]"), (None, "None"), ("x", "'x'")])
+    def test_non_object_report_rejected(self, report, shown):
+        with pytest.raises(InvariantViolation) as exc:
+            validate_report(report)
+        assert str(exc.value) == (
+            f"report failed schema validation: $: {shown} is not of type 'object'"
+        )
+
     def test_runs_checked_against_their_mode_schema(
         self, single_report, background_report
     ):
