@@ -2,8 +2,9 @@
 
 Each ``wbcast.schema`` field builds a Draft-7 fragment together with its own
 check.  Here ``jsonschema.Draft7Validator`` decides the same reports,
-mutations of them, and a grid of awkward values for each constructor form the
-report tables use: the two must agree on every accept or reject.  The
+mutations of them, a grid of awkward values for each constructor form the
+report tables use, and single-rule cases: the two must agree on every accept
+or reject.  The
 metaschema check of each mode's schema runs here too, not at run time.
 """
 
@@ -250,6 +251,34 @@ def test_field_decides_as_jsonschema(field):
     oracle.check_schema(field.schema)
     decisions = [(instance, _field_accepts(field, instance)) for instance in GRID]
     assert decisions == [(instance, oracle.is_valid(instance)) for instance in GRID]
+
+
+# Single-rule cases, each on the constructor form that carries the rule.
+@pytest.mark.parametrize(
+    ("schema", "instance"),
+    [
+        (typed("number"), True),
+        (typed("integer"), False),
+        (typed("integer"), 2.0),
+        (typed("integer"), 2.5),
+        (typed("number"), math.nan),
+        (typed("number", minimum=0), math.nan),
+        (typed("number", exclusiveMinimum=0), True),
+        (typed("number", exclusiveMaximum=1), "2"),
+        (typed("string", pattern="^a"), 1),
+        (typed("string", pattern="b"), "abc"),
+        (const(1), True),
+        (const(1), 1.0),
+        # enum takes strings only, so JSON equality of 0 is checked on const.
+        (const(0), False),
+        (const(0), -0.0),
+        (closed({"a": typed("string")}), ["a"]),
+        (array(typed("string"), minItems=1), {}),
+    ],
+)
+def test_semantics_match_jsonschema(schema, instance):
+    expected = jsonschema.Draft7Validator(schema.schema).is_valid(instance)
+    assert _field_accepts(schema, instance) == expected
 
 
 def test_unchecked_rules_fail_where_the_field_is_built():
