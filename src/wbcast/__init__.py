@@ -26,7 +26,6 @@ from .registers import (
     StateVector,
     apply_to_targets,
     canonical_order,
-    hermitian_spectrum,
     partial_trace,
 )
 from .separability import (
@@ -88,7 +87,6 @@ __all__ = [
     "canonical_order",
     "clone_qubit",
     "five_qubit_state",
-    "hermitian_spectrum",
     "locate_broadcast_interval",
     "measure_machines",
     "pair_verdicts",

@@ -408,13 +408,3 @@ def partial_transpose_stack(rhos: np.ndarray, wire: int = 1) -> np.ndarray:
     out = t.transpose(0, 1, 4, 3, 2) if wire == 1 else t.transpose(0, 3, 2, 1, 4)
     return out.reshape(-1, 4, 4)
 
-
-def hermitian_spectrum(matrix: np.ndarray) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix, or of each matrix in
-    a stack (shape (..., d, d))."""
-    matrix = np.asarray(matrix, dtype=complex)
-    adjoint = matrix.conj().swapaxes(-1, -2)
-    dev = float(np.max(np.abs(matrix - adjoint)))
-    if not dev <= ATOL_PSD:  # NaN fails too
-        raise ValueError(f"matrix is not Hermitian (max asymmetry {dev:.3e})")
-    return np.linalg.eigvalsh(0.5 * (matrix + adjoint))

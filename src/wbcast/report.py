@@ -10,6 +10,7 @@ alongside the numeric value.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -141,9 +142,9 @@ _PAIR_FIELDS = {
     "paper_claim": _CLASSIFICATION,
     "agrees_with_paper": _BOOLEAN,
 }
-# The pair-row fields after the head, copied by _pair_row from the PairVerdict
-# attributes of the same names.
-_VERDICT_FIELDS = tuple(_PAIR_FIELDS)[2:]
+# The pair-row fields between the head and the paper's claim, copied by
+# _pair_row from the PairVerdict attributes of the same names.
+_VERDICT_FIELDS = tuple(_PAIR_FIELDS)[2:-2]
 
 _BACKGROUND_FIELDS = {
     "alpha_sq": typed("number", exclusiveMinimum=0, exclusiveMaximum=1),
@@ -231,15 +232,17 @@ def _pair_head(key: str) -> dict:
 
 
 def _pair_row(key: str, verdict: PairVerdict) -> dict:
+    claim = PAPER_CLAIMS[key]
     row = _pair_head(key)
-    # The remaining fields are the PairVerdict attributes of the same names.
     row.update((name, getattr(verdict, name)) for name in _VERDICT_FIELDS)
+    row.update(paper_claim=claim, agrees_with_paper=verdict.classification == claim)
     return row
 
 
 def _run_record(index: int, transcript: Transcript) -> dict:
     config = transcript.config
-    disagreeing = [key for key, verdict in transcript.pairs.items() if not verdict.agrees_with_paper]
+    rows = [_pair_row(key, verdict) for key, verdict in transcript.pairs.items()]
+    disagreeing = [row["pair"] for row in rows if not row["agrees_with_paper"]]
     record = {
         "index": index,
         "params": {
@@ -259,7 +262,7 @@ def _run_record(index: int, transcript: Transcript) -> dict:
             "purity": transcript.five_qubit.purity(),
             "eigenvalues": [float(v) for v in transcript.five_qubit.eigenvalues()],
         },
-        "pairs": [_pair_row(key, verdict) for key, verdict in transcript.pairs.items()],
+        "pairs": rows,
         "broadcast_ok": transcript.broadcast_ok,
         "paper_agreement": {
             "agree": len(transcript.pairs) - len(disagreeing),
@@ -436,8 +439,9 @@ _REPORT_FIELDS = {
 
 
 def report_schema(mode: str) -> dict:
-    """The Draft-7 JSON schema every report of ``mode`` satisfies."""
-    return {"$schema": DRAFT7, **_REPORT_FIELDS[mode].schema}
+    """The Draft-7 JSON schema every report of ``mode`` satisfies, as a fresh
+    copy: editing it changes neither the checks nor a later caller's schema."""
+    return copy.deepcopy({"$schema": DRAFT7, **_REPORT_FIELDS[mode].schema})
 
 
 def validate_report(report: dict) -> None:

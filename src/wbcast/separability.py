@@ -5,7 +5,8 @@ entangled exactly when its partial transpose has a negative eigenvalue.  The
 determinant witnesses W3 (leading 3x3 principal minor of the partial
 transpose) and W4 (its full determinant) are reported alongside for
 comparison with published tables, but classification always follows the
-minimum partial-transpose eigenvalue.
+minimum partial-transpose eigenvalue.  A verdict depends on the state alone;
+comparing it with the published claims is the protocol's business.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .registers import (
     ATOL_PSD,
     DensityMatrix,
     InvariantViolation,
-    QubitLabel,
-    hermitian_spectrum,
     partial_transpose_stack,
 )
 
@@ -33,20 +32,13 @@ ENTANGLEMENT_THRESHOLD = -ATOL_PSD
 
 @dataclass(frozen=True)
 class PairVerdict:
-    """Separability verdict for one qubit pair, with witness values attached."""
+    """Separability verdict for one two-qubit state, with witness values attached."""
 
-    pair: tuple[QubitLabel, QubitLabel]
     min_pt_eigenvalue: float
     w3: float
     w4: float
     negativity: float
     classification: str
-    paper_claim: str | None = None
-    agrees_with_paper: bool | None = None
-
-    @property
-    def pair_key(self) -> str:
-        return "".join(str(l) for l in self.pair)
 
 
 def _w_stack(pts: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -62,53 +54,38 @@ def _w_stack(pts: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndar
     return w3.real, w4.real
 
 
-def ppt_verdicts(
-    rhos: np.ndarray,
-    pairs: Sequence[tuple[QubitLabel, QubitLabel]],
-    paper_claims: Sequence[str | None],
-) -> list[PairVerdict]:
-    """Classify a stack of two-qubit states (shape (k, 4, 4), each in storage
-    order, ``pairs[i]`` naming member i) by the sign of each minimum partial
+def ppt_verdicts(rhos: np.ndarray, names: Sequence[str]) -> list[PairVerdict]:
+    """Classify a stack of two-qubit states (shape (k, 4, 4), ``names[i]``
+    naming member i in error messages) by the sign of each minimum partial
     transpose eigenvalue.  One stacked eigvalsh and two stacked determinants
-    serve the whole stack."""
-    for claim in paper_claims:
-        if claim not in (None, SEPARABLE, ENTANGLED):
-            raise ValueError(f"bad claim {claim!r}")
+    serve the whole stack.
+
+    The stack must already have passed ``check_density_stack``.  A partial
+    transpose only permutes matrix entries, so the partial transpose of a
+    stack checked as Hermitian is Hermitian to the same tolerance and is
+    not checked again.
+    """
     pts = partial_transpose_stack(rhos)
-    eigs = hermitian_spectrum(pts)
-    w3, w4 = _w_stack(pts, ["".join(str(l) for l in pair) for pair in pairs])
+    eigs = np.linalg.eigvalsh(pts)
+    w3, w4 = _w_stack(pts, names)
     # PT eigenvalues inside the PSD band count as zero, so separable states
     # report a negativity of exactly 0.0 rather than rounding noise.
     negs = np.where(eigs < ENTANGLEMENT_THRESHOLD, -eigs, 0.0).sum(axis=-1)
-    verdicts = []
-    for i, (pair, claim) in enumerate(zip(pairs, paper_claims)):
-        min_eig = float(eigs[i, 0])
-        classification = ENTANGLED if min_eig < ENTANGLEMENT_THRESHOLD else SEPARABLE
-        verdicts.append(
-            PairVerdict(
-                pair=(pair[0], pair[1]),
-                min_pt_eigenvalue=min_eig,
-                w3=float(w3[i]),
-                w4=float(w4[i]),
-                negativity=float(negs[i]),
-                classification=classification,
-                paper_claim=claim,
-                agrees_with_paper=None if claim is None else (classification == claim),
-            )
+    return [
+        PairVerdict(
+            min_pt_eigenvalue=float(min_eig),
+            w3=float(w3_i),
+            w4=float(w4_i),
+            negativity=float(neg),
+            classification=ENTANGLED if min_eig < ENTANGLEMENT_THRESHOLD else SEPARABLE,
         )
-    return verdicts
+        for min_eig, w3_i, w4_i, neg in zip(eigs[:, 0], w3, w4, negs)
+    ]
 
 
-def ppt_verdict(
-    rho: DensityMatrix,
-    pair: tuple[QubitLabel, QubitLabel] | None = None,
-    paper_claim: str | None = None,
-) -> PairVerdict:
+def ppt_verdict(rho: DensityMatrix) -> PairVerdict:
     """Classify a two-qubit state by the sign of its minimum PT eigenvalue."""
     if rho.n_qubits != 2:
         raise ValueError("separability tests apply to two-qubit states only")
-    if pair is None:
-        pair = (rho.labels[0], rho.labels[1])
-    if set(pair) != set(rho.labels):
-        raise ValueError("pair names must match the state's labels")
-    return ppt_verdicts(rho.rho[None], (pair,), (paper_claim,))[0]
+    name = "pair " + "".join(str(l) for l in rho.labels)
+    return ppt_verdicts(rho.rho[None], (name,))[0]

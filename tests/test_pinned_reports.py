@@ -83,3 +83,10 @@ def test_report_bytes_match_stored_digest(invocation, capsys):
 def test_schema_matches_stored_digest(mode):
     schema = report_schema(mode)
     assert _sha256(json.dumps(schema, sort_keys=True)) == SCHEMA_DIGESTS[mode]
+
+
+def test_editing_a_returned_schema_changes_no_mode_schema():
+    report_schema("single")["properties"]["version"]["type"] = "number"
+    report_schema("background")["properties"]["runs"]["items"]["properties"].clear()
+    for mode in MODES:
+        assert _sha256(json.dumps(report_schema(mode), sort_keys=True)) == SCHEMA_DIGESTS[mode]

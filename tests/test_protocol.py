@@ -7,7 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wbcast import protocol
 from wbcast.cloner import BRANCH_ORDER, MachineBranch
 from wbcast.protocol import (
     ALL_PAIRS,
@@ -48,6 +51,13 @@ D = QubitLabel.data
 UUU = MachineBranch.from_string("UUU")
 UNIFORM = WParams.normalized(1.0, 1.0, 1.0)
 SKEWED = WParams(0.6, -0.48, 0.64)
+
+# Positive directions with every normalized component at least 0.05.
+INTERIOR_TRIPLES = (
+    st.tuples(*[st.floats(0.05, 1.0)] * 3)
+    .map(lambda v: WParams.normalized(*v))
+    .filter(lambda p: min(p.as_tuple()) >= 0.05)
+)
 
 
 def _selected_state(params: WParams, branch1=UUU, branch2=UUU):
@@ -246,6 +256,23 @@ class TestUnitaryStage:
         with pytest.raises(ValueError, match="apply_local_unitaries"):
             apply_local_unitaries(prepare_w(UNIFORM))
 
+    @settings(max_examples=60, deadline=None)
+    @given(INTERIOR_TRIPLES, st.sampled_from(BRANCH_ORDER), st.sampled_from(BRANCH_ORDER))
+    def test_verdicts_do_not_depend_on_the_stage(self, params, branch1, branch2):
+        # Each dressing unitary acts on one wire, so it leaves every pair's PT
+        # spectrum and determinant unchanged; W3, a minor, changes and is left
+        # out.
+        on = run_protocol(ProtocolConfig(params, branch1, branch2, apply_unitaries=True))
+        off = run_protocol(ProtocolConfig(params, branch1, branch2, apply_unitaries=False))
+        assert on.broadcast_ok == off.broadcast_ok
+        assert list(on.pairs) == list(off.pairs)
+        for key, a in on.pairs.items():
+            b = off.pairs[key]
+            assert a.classification == b.classification, key
+            assert a.min_pt_eigenvalue == pytest.approx(b.min_pt_eigenvalue, abs=1e-12), key
+            assert a.negativity == pytest.approx(b.negativity, abs=1e-12), key
+            assert a.w4 == pytest.approx(b.w4, abs=1e-12), key
+
 
 class TestFiveQubitState:
     def test_labels_trace_and_validity(self):
@@ -385,14 +412,13 @@ class TestPairVerdicts:
         verdicts = pair_verdicts(_final_state(UNIFORM))
         for pair in NONLOCAL_PAIRS:
             v = verdicts[pair_key(pair)]
-            assert v.classification == ENTANGLED
-            assert v.paper_claim == ENTANGLED
-            assert v.agrees_with_paper is True
+            assert PAPER_CLAIMS[pair_key(pair)] == ENTANGLED
+            assert v.classification == PAPER_CLAIMS[pair_key(pair)]
         for pair in LOCAL_PAIRS:
             v = verdicts[pair_key(pair)]
             assert v.classification == ENTANGLED
-            assert v.paper_claim == SEPARABLE
-            assert v.agrees_with_paper is False
+            assert PAPER_CLAIMS[pair_key(pair)] == SEPARABLE
+            assert v.classification != PAPER_CLAIMS[pair_key(pair)]
         assert broadcast_verdict(verdicts) is False
 
     @pytest.mark.parametrize(
@@ -504,3 +530,20 @@ class TestTwoQubitBroadcast:
     def test_domain_enforced(self, bad):
         with pytest.raises(ValueError):
             two_qubit_broadcast(bad)
+
+    @pytest.mark.parametrize("xtol", [0.0, -0.0, -1.0, -math.inf, math.nan])
+    def test_interval_rejects_a_non_positive_tolerance(self, xtol):
+        with pytest.raises(ValueError, match="xtol"):
+            locate_broadcast_interval(xtol=xtol)
+
+    def test_interval_below_float_spacing_terminates(self):
+        lower, upper = locate_broadcast_interval(xtol=1e-17)
+        offset = math.sqrt(39) / 16
+        assert lower == pytest.approx(0.5 - offset, abs=1e-12)
+        assert upper == pytest.approx(0.5 + offset, abs=1e-12)
+
+    def test_bisection_stops_at_adjacent_floats(self):
+        # A zero tolerance can never be met; the bisection must stop once the
+        # midpoint rounds onto an endpoint.
+        root = protocol._bisect_sign_change(lambda x: x - 0.3, 0.0, 1.0, -0.3, 0.0)
+        assert abs(root - 0.3) <= math.ulp(0.3)

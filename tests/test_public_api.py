@@ -15,6 +15,7 @@ REMOVED_NAMES = (
     "partial_transpose",
     "negativity",
     "w_determinants",
+    "hermitian_spectrum",
 )
 
 

@@ -18,7 +18,6 @@ from wbcast.registers import (
     StateVector,
     apply_to_targets,
     canonical_order,
-    hermitian_spectrum,
     partial_trace,
     partial_transpose_stack,
 )
@@ -266,13 +265,13 @@ class TestPartialTranspose:
         rho = partial_trace(_bell_state(D(1), D(2)), {D(1), D(2)})
         pt = _pt(rho, D(2))
         assert np.allclose(
-            hermitian_spectrum(pt), [-0.5, 0.5, 0.5, 0.5], atol=1e-12
+            np.linalg.eigvalsh(pt), [-0.5, 0.5, 0.5, 0.5], atol=1e-12
         )
 
     def test_product_state_stays_positive(self):
         rho = partial_trace(StateVector.basis((D(1), D(2)), "01"), {D(1), D(2)})
         for wire in (D(1), D(2)):
-            eigs = hermitian_spectrum(_pt(rho, wire))
+            eigs = np.linalg.eigvalsh(_pt(rho, wire))
             assert eigs.min() > -1e-12
 
     def test_diagonal_unchanged(self):
@@ -286,30 +285,9 @@ class TestPartialTranspose:
         rng = np.random.default_rng(31)
         s = _random_state(rng, (D(1), D(2)))
         rho = partial_trace(s, {D(1), D(2)})
-        e1 = hermitian_spectrum(_pt(rho, D(1)))
-        e2 = hermitian_spectrum(_pt(rho, D(2)))
+        e1 = np.linalg.eigvalsh(_pt(rho, D(1)))
+        e2 = np.linalg.eigvalsh(_pt(rho, D(2)))
         assert np.allclose(e1, e2, atol=1e-12)
-
-
-class TestHermitianSpectrum:
-    def test_ascending_and_trace(self):
-        rng = np.random.default_rng(37)
-        z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        h = z + z.conj().T
-        eigs = hermitian_spectrum(h)
-        assert np.all(np.diff(eigs) >= 0)
-        assert abs(eigs.sum() - np.trace(h).real) < 1e-10
-
-    def test_pauli_z(self):
-        assert np.allclose(hermitian_spectrum(PAULI_Z), [-1, 1])
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_spectrum(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match=r"not Hermitian \(max asymmetry nan\)"):
-            hermitian_spectrum(np.full((2, 2), np.nan))
 
 
 class TestDensityMatrix:

@@ -10,11 +10,13 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wbcast import report as report_module
 from wbcast.cli import main
 from wbcast.cloner import ImpossibleBranchError, MachineBranch
-from wbcast.protocol import WParams, two_qubit_broadcast
+from wbcast.protocol import PAPER_CLAIMS, WParams, two_qubit_broadcast
 from wbcast.registers import InvariantViolation
 from wbcast.report import (
     RUNNERS,
@@ -283,6 +285,37 @@ class TestBranchesReport:
         assert all(len(row) == len(rows[0]) for row in rows)
         assert rows[1][9] == "15"
         assert {row[18] for row in rows[1:]} <= {"true", "false"}
+
+
+class TestPaperComparison:
+    """A report's comparison with the paper follows from its pair rows."""
+
+    @settings(max_examples=4, deadline=None)
+    @given(
+        st.tuples(*[st.floats(0.0, 1.0)] * 3)
+        .filter(lambda v: max(v) >= 0.01)
+        .map(lambda v: WParams.normalized(*v))
+    )
+    @example(WParams(0.6, 0.8, 0.0))
+    def test_rows_counts_and_summary_agree(self, params):
+        report = run_branches(RunRequest(mode="branches", params=params))
+        for record in report["runs"]:
+            rows = record["pairs"]
+            assert [row["pair"] for row in rows] == PAIR_ORDER
+            for row in rows:
+                assert row["paper_claim"] == PAPER_CLAIMS[row["pair"]]
+                assert row["agrees_with_paper"] == (row["classification"] == row["paper_claim"])
+            disagreeing = [row["pair"] for row in rows if not row["agrees_with_paper"]]
+            assert record["paper_agreement"] == {
+                "agree": 11 - len(disagreeing),
+                "disagree": len(disagreeing),
+                "disagreeing_pairs": disagreeing,
+            }
+            assert record["broadcast_ok"] == (len(disagreeing) == 0)
+        for i, row in enumerate(report["summary"]["pair_agreement"]):
+            assert row["agree"] + row["disagree"] == row["runs"] == 64
+            agree = sum(record["pairs"][i]["agrees_with_paper"] for record in report["runs"])
+            assert row["agree"] == agree
 
 
 class TestSweep:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,6 @@ from wbcast.registers import (
     DensityMatrix,
     InvariantViolation,
     QubitLabel,
-    StateVector,
-    partial_trace,
 )
 from wbcast.separability import (
     ENTANGLED,
@@ -148,28 +147,9 @@ class TestAgainstBruteforce:
 
 
 class TestVerdictFields:
-    def test_pair_defaults_to_state_labels(self):
-        v = ppt_verdict(_bell_dm())
-        assert v.pair == LABELS
-        assert v.pair_key == "12"
-        assert v.paper_claim is None
-        assert v.agrees_with_paper is None
-
-    def test_claim_agreement(self):
-        v = ppt_verdict(_bell_dm(), paper_claim=ENTANGLED)
-        assert v.agrees_with_paper is True
-        v = ppt_verdict(_bell_dm(), paper_claim=SEPARABLE)
-        assert v.agrees_with_paper is False
-
-    def test_pair_in_report_order_not_storage_order(self):
-        # e.g. published row "8,6": the verdict carries the report order while
-        # the state itself stays in canonical storage order.
-        rho = partial_trace(
-            StateVector.basis((D(6), D(8)), "00"), {D(6), D(8)}
-        )
-        v = ppt_verdict(rho, pair=(D(8), D(6)), paper_claim=SEPARABLE)
-        assert v.pair_key == "86"
-        assert v.agrees_with_paper is True
+    def test_fields_are_the_ppt_result_alone(self):
+        names = [field.name for field in dataclasses.fields(PairVerdict)]
+        assert names == ["min_pt_eigenvalue", "w3", "w4", "negativity", "classification"]
 
     def test_is_frozen(self):
         v = ppt_verdict(_bell_dm())
@@ -180,10 +160,6 @@ class TestVerdictFields:
     def test_errors(self):
         with pytest.raises(ValueError, match="two-qubit"):
             ppt_verdict(DensityMatrix((D(1),), np.eye(2) / 2))
-        with pytest.raises(ValueError, match="claim"):
-            ppt_verdict(_bell_dm(), paper_claim="MAYBE")
-        with pytest.raises(ValueError, match="labels"):
-            ppt_verdict(_bell_dm(), pair=(D(1), D(3)))
 
     def test_nan_witness_rejected(self):
         pts = np.stack([np.eye(4, dtype=complex) / 4, np.full((4, 4), np.nan, dtype=complex)])

@@ -17,7 +17,6 @@ from wbcast.cloner import BRANCH_ORDER
 from wbcast.cloner import CloneAssignment, clone_qubit
 from wbcast.protocol import (
     ALL_PAIRS,
-    PAPER_CLAIMS,
     WParams,
     apply_local_unitaries,
     branch_select,
@@ -68,11 +67,7 @@ def test_stacked_verdicts_equal_pair_by_pair(params):
         assert list(stacked) == [pair_key(p) for p in ALL_PAIRS]
         for a, b in ALL_PAIRS:
             key = pair_key((a, b))
-            single = ppt_verdict(
-                partial_trace(final, {D(a), D(b)}),
-                pair=(D(a), D(b)),
-                paper_claim=PAPER_CLAIMS[key],
-            )
+            single = ppt_verdict(partial_trace(final, {D(a), D(b)}))
             _assert_identical(stacked[key], single, f"{branch1}/{branch2} pair {key}")
 
 
