@@ -105,7 +105,14 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state of a labeled register, stored as a flat amplitude array."""
+    """Pure state of a labeled register, stored as a flat amplitude array.
+
+    ``amps`` has shape ``(2**n,)``, or ``(k, 2**n)`` for a stack of k states
+    on the same wires.  ``tensor``, ``apply_to_targets`` and
+    ``partial_trace_stack`` keep that leading batch axis in front; the
+    per-state readers (``norm``, ``permuted``, ``amplitude``, ``partial_trace``,
+    ``measure_machines``) take a single state.
+    """
 
     labels: tuple[QubitLabel, ...]
     amps: np.ndarray
@@ -115,7 +122,7 @@ class StateVector:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate labels in register: {self._names(labels)}")
         amps = _freeze(self.amps)
-        if amps.shape != (2 ** len(labels),):
+        if amps.ndim not in (1, 2) or amps.shape[-1] != 2 ** len(labels):
             raise ValueError(
                 f"amplitude array of shape {amps.shape} does not fit "
                 f"{len(labels)} qubits"
@@ -142,6 +149,8 @@ class StateVector:
         return len(self.labels)
 
     def norm(self) -> float:
+        if self.amps.ndim != 1:
+            raise ValueError("a stack of states has no single norm")
         return float(np.linalg.norm(self.amps))
 
     def normalized(self) -> "StateVector":
@@ -157,7 +166,8 @@ class StateVector:
             raise ValueError(f"label {label} not in register {self._names(self.labels)}") from None
 
     def tensor(self) -> np.ndarray:
-        return self.amps.reshape((2,) * self.n_qubits)
+        """Amplitudes with one axis per wire, after any batch axis."""
+        return self.amps.reshape(self.amps.shape[:-1] + (2,) * self.n_qubits)
 
     def permuted(self, order: Sequence[QubitLabel]) -> "StateVector":
         """View of the same state with wires listed in a different order."""
@@ -303,10 +313,12 @@ def _apply_plan(
     fresh: tuple[QubitLabel, ...],
     n_in: int,
     n_out: int,
+    batch: int,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[QubitLabel, ...]]:
-    """Label checks, target axes, canonical permutation and result labels of
-    one operator application.  They depend on the label tuples only; a
-    failing plan raises and is therefore never cached."""
+    """Label checks, target axes, transpose order and result labels of one
+    operator application to a state with ``batch`` (0 or 1) leading batch
+    axes.  They depend on the label tuples only; a failing plan raises and
+    is therefore never cached."""
     if len(set(targets)) != len(targets):
         raise ValueError("duplicate target labels")
     for t in targets:
@@ -327,10 +339,15 @@ def _apply_plan(
             raise ValueError(f"fresh output label {l} already in register")
 
     spectators = tuple(l for l in labels if l not in targets)
-    target_axes = tuple(labels.index(t) for t in targets)
+    target_axes = tuple(batch + labels.index(t) for t in targets)
     labels_after = targets + fresh + spectators
-    perm = tuple(sorted(range(len(labels_after)), key=lambda i: labels_after[i].sort_key))
-    return target_axes, perm, tuple(labels_after[i] for i in perm)
+    perm = sorted(range(len(labels_after)), key=lambda i: labels_after[i].sort_key)
+    # tensordot yields the operator's n_out output axes, then the state's
+    # untouched axes: the batch axis, if any, before the spectators.
+    order = tuple(range(n_out, n_out + batch)) + tuple(
+        i if i < n_out else i + batch for i in perm
+    )
+    return target_axes, order, tuple(labels_after[i] for i in perm)
 
 
 def apply_to_targets(
@@ -345,23 +362,25 @@ def apply_to_targets(
     takes no fresh labels and replaces the targets in place, and an isometry
     from n_in to n_out qubits takes n_out - n_in fresh labels, none of them
     already in the register.  The result is re-sorted to canonical label
-    order.
+    order.  A stack of states (amplitudes of shape ``(k, 2**n)``) gives a
+    stack, each member equal to the operator applied to that member alone.
     """
     n_in, n_out = op.n_in, op.n_out
-    target_axes, perm, new_labels = _apply_plan(
-        state.labels, tuple(targets), tuple(fresh), n_in, n_out
+    target_axes, order, new_labels = _apply_plan(
+        state.labels, tuple(targets), tuple(fresh), n_in, n_out, state.amps.ndim - 1
     )
     m = op.matrix.reshape((2,) * (n_out + n_in))
     out = np.tensordot(m, state.tensor(), axes=(list(range(n_out, n_out + n_in)), target_axes))
-    return StateVector(new_labels, out.transpose(perm).reshape(-1))
+    return StateVector(new_labels, out.transpose(order).reshape(state.amps.shape[:-1] + (-1,)))
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _trace_plan(
-    labels: tuple[QubitLabel, ...], keep: frozenset[QubitLabel]
+    labels: tuple[QubitLabel, ...], keep: frozenset[QubitLabel], batch: int
 ) -> tuple[tuple[QubitLabel, ...], tuple[int, ...]]:
-    """Kept labels in canonical order, and the axis order that puts the kept
-    axes (in that order) before the traced ones."""
+    """Kept labels in canonical order, and the axis order that puts the
+    ``batch`` (0 or 1) leading batch axes first, then the kept axes (in that
+    order), then the traced ones."""
     if not keep:
         raise ValueError("must keep at least one qubit")
     for l in keep:
@@ -370,19 +389,20 @@ def _trace_plan(
     kept = canonical_order(keep)
     kept_axes = tuple(labels.index(l) for l in kept)
     traced_axes = tuple(i for i in range(len(labels)) if labels[i] not in keep)
-    return kept, kept_axes + traced_axes
+    return kept, tuple(range(batch)) + tuple(batch + i for i in kept_axes + traced_axes)
 
 
 def _reduced_matrix(state: StateVector, axes: tuple[int, ...], k: int) -> np.ndarray:
-    """Symmetrised reduced matrix over the first k of the given axes."""
-    m = state.tensor().transpose(axes).reshape(2 ** k, -1)
-    rho = m @ m.conj().T
-    return 0.5 * (rho + rho.conj().T)
+    """Symmetrised reduced matrix over the first k wire axes of the given
+    order, one per state of a stack."""
+    m = state.tensor().transpose(axes).reshape(state.amps.shape[:-1] + (2 ** k, -1))
+    rho = m @ m.conj().swapaxes(-1, -2)
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def partial_trace(state: StateVector, keep: Iterable[QubitLabel]) -> DensityMatrix:
     """Reduced density matrix over the kept wires, labels in canonical order."""
-    kept, axes = _trace_plan(state.labels, frozenset(keep))
+    kept, axes = _trace_plan(state.labels, frozenset(keep), 0)
     return DensityMatrix(kept, _reduced_matrix(state, axes, len(kept)))
 
 
@@ -390,13 +410,19 @@ def partial_trace_stack(
     state: StateVector, keeps: Sequence[Iterable[QubitLabel]], names: Sequence[str]
 ) -> np.ndarray:
     """Reduced density matrices over several kept sets of one size, each in
-    canonical label order, stacked (shape (k, d, d)) and validated together.
-    ``names`` labels each member in error messages."""
+    canonical label order, stacked (shape (K, d, d)) and validated together.
+
+    A stack of k states gives one point-major stack of shape (k*K, d, d):
+    member i*K + j is kept set j of state i.  ``names`` labels each member
+    in error messages.
+    """
+    batch = state.amps.ndim - 1
     rhos = []
     for keep in keeps:
-        kept, axes = _trace_plan(state.labels, frozenset(keep))
+        kept, axes = _trace_plan(state.labels, frozenset(keep), batch)
         rhos.append(_reduced_matrix(state, axes, len(kept)))
-    stack = np.stack(rhos)
+    d = rhos[0].shape[-1]
+    stack = np.stack(rhos, axis=-3).reshape(-1, d, d)
     check_density_stack(stack, names)
     return stack
 

@@ -33,8 +33,10 @@ from .protocol import (
     locate_broadcast_interval,
     pair_key,
     run_protocol,
-    two_qubit_broadcast,
+    two_qubit_broadcasts,
 )
+# Not called here; kept because perfbench/layers.py traces wbcast.report.two_qubit_broadcast.
+from .protocol import two_qubit_broadcast
 from .registers import InvariantViolation
 from .schema import DRAFT7, Field, SchemaFailure, array, closed, const, enum, typed
 from .separability import ENTANGLED, SEPARABLE, PairVerdict
@@ -382,13 +384,12 @@ def run_sweep(request: RunRequest) -> dict:
 
 
 def run_background(request: RunRequest) -> dict:
+    grid = [i / (request.grid + 1) for i in range(1, request.grid + 1)]
     rows = []
-    for i in range(1, request.grid + 1):
-        alpha_sq = i / (request.grid + 1)
-        result = two_qubit_broadcast(alpha_sq)
+    for result in two_qubit_broadcasts(grid):
         rows.append(
             {
-                "alpha_sq": alpha_sq,
+                "alpha_sq": result.alpha_sq,
                 "nonlocal_min_pt_eigenvalue": result.nonlocal_verdict.min_pt_eigenvalue,
                 "local_min_pt_eigenvalue": result.local_verdict.min_pt_eigenvalue,
                 "nonlocal_classification": result.nonlocal_verdict.classification,

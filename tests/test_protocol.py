@@ -531,7 +531,7 @@ class TestTwoQubitBroadcast:
         with pytest.raises(ValueError):
             two_qubit_broadcast(bad)
 
-    @pytest.mark.parametrize("xtol", [0.0, -0.0, -1.0, -math.inf, math.nan])
+    @pytest.mark.parametrize("xtol", [0.0, -0.0, -1.0, -math.inf, math.nan, math.inf, 0.6])
     def test_interval_rejects_a_non_positive_tolerance(self, xtol):
         with pytest.raises(ValueError, match="xtol"):
             locate_broadcast_interval(xtol=xtol)

@@ -19,8 +19,10 @@ from wbcast.registers import (
     apply_to_targets,
     canonical_order,
     partial_trace,
+    partial_trace_stack,
     partial_transpose_stack,
 )
+from wbcast.cloner import bh_isometry
 
 from oracles import dense_partial_trace, random_pure_state, random_unitary
 
@@ -253,6 +255,68 @@ class TestPartialTrace:
         for _ in range(2):  # a failed plan is never cached
             with pytest.raises(ValueError, match="3"):
                 partial_trace(s, {D(3)})
+
+
+class TestBatchAxis:
+    """A stack of k states (amplitudes of shape (k, 2**n)) runs through the
+    same functions as one state, and every member comes out bit for bit as
+    if it had run alone."""
+
+    LABELS = (D(1), D(2), D(5), M("A", 1))
+    K = 5
+
+    def _stack(self) -> StateVector:
+        rng = np.random.default_rng(29)
+        amps = np.stack([random_pure_state(rng, 2 ** len(self.LABELS)) for _ in range(self.K)])
+        return StateVector(self.LABELS, amps)
+
+    def test_shapes(self):
+        stack = self._stack()
+        assert stack.n_qubits == 4
+        assert stack.tensor().shape == (self.K, 2, 2, 2, 2)
+        with pytest.raises(ValueError, match="no single norm"):
+            stack.norm()
+        with pytest.raises(ValueError, match="does not fit"):
+            StateVector(self.LABELS, np.zeros((2, self.K, 16)))
+        with pytest.raises(ValueError, match="does not fit"):
+            StateVector(self.LABELS, np.zeros((self.K, 8)))
+
+    @pytest.mark.parametrize(
+        "op, targets, fresh",
+        [
+            (bh_isometry(), (D(2),), (D(4), M("B", 1))),
+            (Operator(PAULI_X), (D(5),), ()),
+            (Operator(PAULI_Y), (M("A", 1),), ()),
+            (Operator(PAULI_Y), (D(1),), ()),
+        ],
+        ids=["bh-isometry-fresh-wires", "pauli-x", "pauli-y-machine", "pauli-y-first"],
+    )
+    def test_apply_to_targets_equals_each_member_alone(self, op, targets, fresh):
+        stack = self._stack()
+        out = apply_to_targets(stack, op, targets, fresh)
+        assert out.amps.shape[0] == self.K
+        for amps, got in zip(stack.amps, out.amps, strict=True):
+            alone = apply_to_targets(StateVector(self.LABELS, amps), op, targets, fresh)
+            assert out.labels == alone.labels
+            assert got.tobytes() == alone.amps.tobytes()
+
+    def test_partial_trace_stack_is_point_major(self):
+        stack = self._stack()
+        keeps = [(D(1), D(5)), (M("A", 1), D(2))]
+        names = [f"state {i} keep {j}" for i in range(self.K) for j in range(2)]
+        rhos = partial_trace_stack(stack, keeps, names)
+        assert rhos.shape == (2 * self.K, 4, 4)
+        for i, amps in enumerate(stack.amps):
+            alone = partial_trace_stack(StateVector(self.LABELS, amps), keeps, names[2 * i:][:2])
+            assert rhos[2 * i:2 * i + 2].tobytes() == alone.tobytes()
+
+    def test_failing_member_is_named_point_major(self):
+        stack = self._stack()
+        amps = stack.amps.copy()
+        amps[3] *= 2.0
+        names = [f"state {i} keep {j}" for i in range(self.K) for j in range(2)]
+        with pytest.raises(InvariantViolation, match="state 3 keep 0 trace off"):
+            partial_trace_stack(StateVector(self.LABELS, amps), [(D(1), D(5)), (D(2), D(5))], names)
 
 
 def _pt(rho: DensityMatrix, wire: QubitLabel) -> np.ndarray:

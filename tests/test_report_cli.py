@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from wbcast import report as report_module
 from wbcast.cli import main
 from wbcast.cloner import ImpossibleBranchError, MachineBranch
-from wbcast.protocol import PAPER_CLAIMS, WParams, two_qubit_broadcast
+from wbcast.protocol import PAPER_CLAIMS, WParams, two_qubit_broadcasts
 from wbcast.registers import InvariantViolation
 from wbcast.report import (
     RUNNERS,
@@ -514,12 +514,18 @@ class TestCli:
         assert "synthetic failure" in capsys.readouterr().err
 
     def test_non_finite_report_value_exit_4(self, capsys, monkeypatch):
-        def nan_broadcast(alpha_sq):
-            result = two_qubit_broadcast(alpha_sq)
-            verdict = dataclasses.replace(result.local_verdict, min_pt_eigenvalue=math.nan)
-            return dataclasses.replace(result, local_verdict=verdict)
+        def nan_broadcasts(alpha_sqs):
+            return [
+                dataclasses.replace(
+                    result,
+                    local_verdict=dataclasses.replace(
+                        result.local_verdict, min_pt_eigenvalue=math.nan
+                    ),
+                )
+                for result in two_qubit_broadcasts(alpha_sqs)
+            ]
 
-        monkeypatch.setattr(report_module, "two_qubit_broadcast", nan_broadcast)
+        monkeypatch.setattr(report_module, "two_qubit_broadcasts", nan_broadcasts)
         assert main(["background", "--grid", "100"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,9 +1,10 @@
 """The stacked verdict path against the pair-by-pair one.
 
 ``pair_verdicts`` validates and classifies all eleven pair reductions of a
-run as one stack, and ``two_qubit_broadcast`` does the same with its two
-pairs; ``ppt_verdict`` runs the same code on a stack of one.  The paths must
-agree bit for bit on every field, on every branch pair and grid point.
+run as one stack, and ``two_qubit_broadcasts`` does the same with the two
+pairs of every point in a stack of grid points; ``ppt_verdict`` runs the
+same code on a stack of one.  The paths must agree bit for bit on every
+field, on every branch pair and grid point.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from wbcast.cloner import BRANCH_ORDER
 from wbcast.cloner import CloneAssignment, clone_qubit
 from wbcast.protocol import (
     ALL_PAIRS,
+    BROADCAST_STACK_POINTS,
     WParams,
     apply_local_unitaries,
     branch_select,
@@ -26,6 +28,7 @@ from wbcast.protocol import (
     round_one,
     round_two,
     two_qubit_broadcast,
+    two_qubit_broadcasts,
 )
 from wbcast.registers import (
     InvariantViolation,
@@ -71,22 +74,46 @@ def test_stacked_verdicts_equal_pair_by_pair(params):
             _assert_identical(stacked[key], single, f"{branch1}/{branch2} pair {key}")
 
 
-@pytest.mark.parametrize("alpha_sq", [1e-6, 0.05, 0.1, 0.25, 0.5, 0.8, 0.9, 1 - 1e-6])
-def test_background_verdicts_equal_pair_by_pair(alpha_sq):
+def _broadcast_pair_by_pair(alpha_sq: float) -> tuple[PairVerdict, PairVerdict]:
+    """The unbatched reference: one point through the labeled pipeline, each
+    pair traced and classified on its own."""
     amps = np.zeros(4, dtype=complex)
     amps[0b00] = np.sqrt(alpha_sq)
     amps[0b11] = np.sqrt(1.0 - alpha_sq)
     state = StateVector((D(1), D(2)), amps)
     state = clone_qubit(state, CloneAssignment(D(1), D(4), M("A", 1)))
     state = clone_qubit(state, CloneAssignment(D(2), D(5), M("B", 1)))
+    return tuple(ppt_verdict(partial_trace(state, {D(a), D(b)})) for a, b in ((1, 5), (1, 4)))
 
-    result = two_qubit_broadcast(alpha_sq)
-    for stacked, (a, b) in (
-        (result.nonlocal_verdict, (1, 5)),
-        (result.local_verdict, (1, 4)),
-    ):
-        single = ppt_verdict(partial_trace(state, {D(a), D(b)}))
-        _assert_identical(stacked, single, f"alpha_sq={alpha_sq!r} pair {a}{b}")
+
+def _grid(points: int) -> list[float]:
+    return [i / (points + 1) for i in range(1, points + 1)]
+
+
+@pytest.mark.parametrize(
+    "alpha_sqs",
+    [
+        *(pytest.param([a], id=str(a)) for a in (1e-6, 0.05, 0.1, 0.25, 0.5, 0.8, 0.9, 1 - 1e-6)),
+        # Two full stacks and a short one, and the report's --grid 1000.
+        pytest.param(_grid(2 * BROADCAST_STACK_POINTS + 3), id="two-stacks-and-3"),
+        pytest.param(_grid(1000), id="grid-1000"),
+    ],
+)
+def test_background_verdicts_equal_pair_by_pair(alpha_sqs):
+    results = (
+        [two_qubit_broadcast(alpha_sqs[0])]
+        if len(alpha_sqs) == 1
+        else two_qubit_broadcasts(alpha_sqs)
+    )
+    assert len(results) == len(alpha_sqs)
+    for alpha_sq, result in zip(alpha_sqs, results):
+        assert result.alpha_sq.hex() == alpha_sq.hex()
+        for stacked, single, key in zip(
+            (result.nonlocal_verdict, result.local_verdict),
+            _broadcast_pair_by_pair(alpha_sq),
+            ("15", "14"),
+        ):
+            _assert_identical(stacked, single, f"alpha_sq={alpha_sq!r} pair {key}")
 
 
 def _valid_two_qubit_states(count: int) -> list[np.ndarray]:
