@@ -110,9 +110,10 @@ def clone_qubit(state: StateVector, assignment: CloneAssignment) -> StateVector:
 
 def measure_machines(
     state: StateVector,
-    branch: MachineBranch,
+    branch: MachineBranch | Sequence[MachineBranch],
     machines: Sequence[QubitLabel],
-) -> tuple[StateVector, float]:
+    names: Sequence[str] | None = None,
+) -> tuple[StateVector, float | np.ndarray]:
     """Project the three machine wires onto a branch and drop them.
 
     Returns the renormalized post-measurement state and the branch probability
@@ -120,24 +121,40 @@ def measure_machines(
     ``MIN_BRANCH_PROBABILITY`` raises ``ImpossibleBranchError``; a NaN or
     infinite one means the state itself is broken and raises
     ``InvariantViolation``.
+
+    A stack of k states takes one branch per member and returns the stack of
+    post-measurement states with an array of k probabilities; each member
+    is projected on its own branch and renormalized by its own probability.
+    ``names[i]``, if given, names member i in an error.  One state is
+    measured as the stack of one.
     """
     machines = tuple(machines)
     if len(machines) != 3 or len(set(machines)) != 3:
         raise ValueError("exactly three distinct machine wires are required")
-    axes = [state.axis(m) for m in machines]
+    single = state.amps.ndim == 1
+    branches = (branch,) if single else tuple(branch)
+    amps = state.amps[None] if single else state.amps
+    k = len(amps)
+    if len(branches) != k:
+        raise ValueError(f"{len(branches)} branches given for a stack of {k} states")
 
-    index: list = [slice(None)] * state.n_qubits
-    for ax, outcome in zip(axes, branch.outcomes):
-        index[ax] = outcome.bit
-    sub = state.tensor()[tuple(index)]
+    # Member i keeps the entries with its own branch's bits on the machine
+    # axes; the batch index and the bit indices broadcast to k picks.
+    index: list = [np.arange(k)] + [slice(None)] * state.n_qubits
+    for machine, outcomes in zip(machines, zip(*(b.outcomes for b in branches))):
+        index[1 + state.axis(machine)] = np.array([o.bit for o in outcomes])
+    sub = amps.reshape((k,) + (2,) * state.n_qubits)[tuple(index)].reshape(k, -1)
 
-    probability = float(np.sum(np.abs(sub) ** 2))
-    if not math.isfinite(probability):
-        raise InvariantViolation(f"branch {branch} has probability {probability}")
-    if probability < MIN_BRANCH_PROBABILITY:
-        raise ImpossibleBranchError(
-            f"branch {branch} has probability {probability:.3e}"
-        )
+    probabilities = np.sum(np.abs(sub) ** 2, axis=1)
+    for failure, bad in (
+        (InvariantViolation, ~np.isfinite(probabilities)),
+        (ImpossibleBranchError, ~(probabilities >= MIN_BRANCH_PROBABILITY)),
+    ):
+        for i in np.flatnonzero(bad):
+            where = "" if names is None else f" of {names[i]}"
+            raise failure(f"branch {branches[i]}{where} has probability {probabilities[i]:.3e}")
+    post = sub / np.sqrt(probabilities)[:, None]
     remaining = tuple(l for l in state.labels if l not in machines)
-    post = StateVector(remaining, (sub / math.sqrt(probability)).reshape(-1))
-    return post, probability
+    if single:
+        return StateVector(remaining, post[0]), float(probabilities[0])
+    return StateVector(remaining, post), probabilities

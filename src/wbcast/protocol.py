@@ -11,9 +11,10 @@ module computes and checks against the published claims for the protocol.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .registers import (
     apply_to_targets,
     partial_trace,
     partial_trace_stack,
+    partial_traces,
 )
 from .separability import ENTANGLED, SEPARABLE, PairVerdict, ppt_verdicts
 # Not called here; kept because perfbench/layers.py traces wbcast.protocol.ppt_verdict.
@@ -134,13 +136,14 @@ class Transcript:
     broadcast_ok: bool
 
 
-def prepare_w(params: WParams) -> StateVector:
-    """The initial three-qubit state alpha|001> + beta|010> + gamma|100>."""
-    amps = np.zeros(8, dtype=complex)
-    amps[0b001] = params.alpha
-    amps[0b010] = params.beta
-    amps[0b100] = params.gamma
-    return StateVector((_D(1), _D(2), _D(3)), amps)
+def prepare_w(params: WParams | Sequence[WParams]) -> StateVector:
+    """The initial three-qubit state alpha|001> + beta|010> + gamma|100>,
+    or a stack of them for a sequence of params."""
+    single = isinstance(params, WParams)
+    triples = [params.as_tuple()] if single else [p.as_tuple() for p in params]
+    amps = np.zeros((len(triples), 8), dtype=complex)
+    amps[:, [0b001, 0b010, 0b100]] = triples
+    return StateVector((_D(1), _D(2), _D(3)), amps[0] if single else amps)
 
 
 _ROUND_ONE_WIRES = frozenset(_D(i) for i in (1, 2, 3))
@@ -173,16 +176,19 @@ def round_two(state: StateVector) -> StateVector:
 
 
 def branch_select(
-    state: StateVector, branch: MachineBranch
-) -> tuple[StateVector, float]:
-    """Measure whichever round's machine wires are present and drop them."""
+    state: StateVector,
+    branch: MachineBranch | Sequence[MachineBranch],
+    names: Sequence[str] | None = None,
+) -> tuple[StateVector, float | np.ndarray]:
+    """Measure whichever round's machine wires are present and drop them.
+    A stack takes one branch per member (see ``measure_machines``)."""
     machines = [l for l in state.labels if l.is_machine]
     rounds = {l.round_no for l in machines}
     if len(machines) != 3 or len(rounds) != 1:
         raise ValueError("register must hold exactly one round's machine wires")
     round_no = rounds.pop()
     ordered = tuple(_M(party, round_no) for party in ("A", "B", "C"))
-    return measure_machines(state, branch, ordered)
+    return measure_machines(state, branch, ordered, names)
 
 
 _SIGMA_X = Operator(PAULI_X)
@@ -208,10 +214,19 @@ def apply_local_unitaries(state: StateVector) -> StateVector:
     return state
 
 
-def five_qubit_state(state: StateVector) -> DensityMatrix:
-    """Reduced state of qubits (1, 5, 8, 6, 9), the broadcast payload."""
+def five_qubit_state(
+    state: StateVector, names: Sequence[str] | None = None
+) -> DensityMatrix | list[DensityMatrix]:
+    """Reduced state of qubits (1, 5, 8, 6, 9), the broadcast payload.
+
+    A stack of states gives one state per member, all checked as one stack
+    (``names[i]`` naming member i); each keeps its spectrum."""
     _require_register(state, _DATA_WIRES, "five_qubit_state")
-    return partial_trace(state, _FIVE_QUBIT_WIRES)
+    if state.amps.ndim == 1:
+        return partial_trace(state, _FIVE_QUBIT_WIRES)
+    return partial_traces(
+        state, _FIVE_QUBIT_WIRES, [f"five-qubit state of {name}" for name in names]
+    )
 
 
 _PAIR_KEYS = tuple(pair_key(pair) for pair in ALL_PAIRS)
@@ -219,16 +234,27 @@ _PAIR_LABELS = tuple((_D(a), _D(b)) for a, b in ALL_PAIRS)
 _PAIR_NAMES = tuple(f"pair {key}" for key in _PAIR_KEYS)
 
 
-def pair_verdicts(state: StateVector) -> dict[str, PairVerdict]:
+def pair_verdicts(
+    state: StateVector, names: Sequence[str] | None = None
+) -> dict[str, PairVerdict] | list[dict[str, PairVerdict]]:
     """Separability verdicts for all reported pairs, keyed in report order.
 
     The eleven reductions are validated together and classified together:
     one stacked spectrum for the state checks, one for the partial
-    transposes.
+    transposes.  A stack of states gives one mapping per member, and all
+    ``11 * k`` pairs share the two spectra; ``names[i]`` names member i.
     """
     _require_register(state, _DATA_WIRES, "pair_verdicts")
-    rhos = partial_trace_stack(state, _PAIR_LABELS, _PAIR_NAMES)
-    return dict(zip(_PAIR_KEYS, ppt_verdicts(rhos, _PAIR_NAMES)))
+    if state.amps.ndim == 1:
+        pair_names: Sequence[str] = _PAIR_NAMES
+    else:
+        pair_names = [f"{pair} of {name}" for name in names for pair in _PAIR_NAMES]
+    verdicts = ppt_verdicts(partial_trace_stack(state, _PAIR_LABELS, pair_names), pair_names)
+    runs = [
+        dict(zip(_PAIR_KEYS, verdicts[start:start + len(_PAIR_KEYS)]))
+        for start in range(0, len(verdicts), len(_PAIR_KEYS))
+    ]
+    return runs[0] if state.amps.ndim == 1 else runs
 
 
 def broadcast_verdict(pairs: Mapping[str, PairVerdict]) -> bool:
@@ -241,28 +267,71 @@ def broadcast_verdict(pairs: Mapping[str, PairVerdict]) -> bool:
     return all(pairs[key].classification == claim for key, claim in PAPER_CLAIMS.items())
 
 
-def run_protocol(config: ProtocolConfig) -> Transcript:
-    """Execute both cloning rounds on the selected branches and analyze the result."""
-    w = prepare_w(config.params)
-    cloned1 = round_one(w)
-    selected1, p1 = branch_select(cloned1, config.branch1)
-    cloned2 = round_two(selected1)
-    selected2, p2 = branch_select(cloned2, config.branch2)
-    final = apply_local_unitaries(selected2) if config.apply_unitaries else selected2
+# Runs carried through the pipeline per stack.  A member peaks at about
+# 210 KiB (the twelve-qubit register of round two is 64 KiB per array), so
+# the stack size bounds the memory of a run list of any length.
+PROTOCOL_STACK_RUNS = 8
 
-    # The constructor has validated the five-qubit state; its spectrum is kept.
-    five = five_qubit_state(final)
-    verdicts = pair_verdicts(final)
-    ok = broadcast_verdict(verdicts)
-    return Transcript(
-        config=config,
-        stages={"final": final},
-        p1=p1,
-        p2=p2,
-        five_qubit=five,
-        pairs=verdicts,
-        broadcast_ok=ok,
+
+def _run_name(config: ProtocolConfig) -> str:
+    alpha, beta, gamma = config.params.as_tuple()
+    return (
+        f"{config.branch1}/{config.branch2} at (alpha, beta, gamma)="
+        f"({alpha!r}, {beta!r}, {gamma!r})"
     )
+
+
+def run_protocols(configs: Sequence[ProtocolConfig]) -> Iterator[Transcript]:
+    """``run_protocol`` of every config, in order.
+
+    The configs are checked first: all must share ``apply_unitaries``.  The
+    runs then go through the stage functions in stacks of
+    ``PROTOCOL_STACK_RUNS``, each member on its own params and branches, and
+    are yielded one stack at a time, so a caller that keeps only what it
+    needs holds one stack of transcripts at most.  Per stack, the five-qubit
+    states are checked as one stack and the eleven pairs of every member as
+    another.  Each amplitude is one product whatever the stack size, so every
+    transcript equals the one-run pipeline bit for bit.
+    """
+    configs = list(configs)
+    if len({config.apply_unitaries for config in configs}) > 1:
+        raise ValueError("all configs of one call must share apply_unitaries")
+    stacks = (
+        configs[start:start + PROTOCOL_STACK_RUNS]
+        for start in range(0, len(configs), PROTOCOL_STACK_RUNS)
+    )
+    return itertools.chain.from_iterable(map(_protocol_stack, stacks))
+
+
+def _protocol_stack(configs: Sequence[ProtocolConfig]) -> list[Transcript]:
+    names = [_run_name(config) for config in configs]
+    w = prepare_w([config.params for config in configs])
+    selected1, p1 = branch_select(round_one(w), [c.branch1 for c in configs], names)
+    selected2, p2 = branch_select(round_two(selected1), [c.branch2 for c in configs], names)
+    final = apply_local_unitaries(selected2) if configs[0].apply_unitaries else selected2
+
+    fives = five_qubit_state(final, names)
+    verdicts = pair_verdicts(final, names)
+    return [
+        Transcript(
+            config=config,
+            stages={"final": StateVector(final.labels, amps)},
+            p1=float(p1_i),
+            p2=float(p2_i),
+            five_qubit=five,
+            pairs=pairs,
+            broadcast_ok=broadcast_verdict(pairs),
+        )
+        for config, amps, p1_i, p2_i, five, pairs in zip(
+            configs, final.amps, p1, p2, fives, verdicts, strict=True
+        )
+    ]
+
+
+def run_protocol(config: ProtocolConfig) -> Transcript:
+    """Execute both cloning rounds on the selected branches and analyze the
+    result: ``run_protocols`` of one config."""
+    return next(run_protocols([config]))
 
 
 @dataclass(frozen=True)

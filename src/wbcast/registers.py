@@ -108,10 +108,11 @@ class StateVector:
     """Pure state of a labeled register, stored as a flat amplitude array.
 
     ``amps`` has shape ``(2**n,)``, or ``(k, 2**n)`` for a stack of k states
-    on the same wires.  ``tensor``, ``apply_to_targets`` and
-    ``partial_trace_stack`` keep that leading batch axis in front; the
-    per-state readers (``norm``, ``permuted``, ``amplitude``, ``partial_trace``,
-    ``measure_machines``) take a single state.
+    on the same wires.  ``tensor``, ``apply_to_targets``,
+    ``partial_trace_stack``, ``partial_traces`` and ``measure_machines`` keep
+    that leading batch axis in front; the per-state readers (``norm``,
+    ``permuted``, ``amplitude``, ``partial_trace``) take a single state and
+    reject a stack by name.
     """
 
     labels: tuple[QubitLabel, ...]
@@ -148,6 +149,10 @@ class StateVector:
     def n_qubits(self) -> int:
         return len(self.labels)
 
+    def _require_single(self, reader: str) -> None:
+        if self.amps.ndim != 1:
+            raise ValueError(f"{reader} takes a single state, not a stack of {len(self.amps)}")
+
     def norm(self) -> float:
         if self.amps.ndim != 1:
             raise ValueError("a stack of states has no single norm")
@@ -171,6 +176,7 @@ class StateVector:
 
     def permuted(self, order: Sequence[QubitLabel]) -> "StateVector":
         """View of the same state with wires listed in a different order."""
+        self._require_single("permuted")
         order = tuple(order)
         if set(order) != set(self.labels) or len(order) != len(self.labels):
             raise ValueError("permutation must list exactly the register labels")
@@ -179,6 +185,7 @@ class StateVector:
 
     def amplitude(self, bits: str, order: Sequence[QubitLabel] | None = None) -> complex:
         """Amplitude of |bits>, read in the given label order (default: storage order)."""
+        self._require_single("amplitude")
         view = self if order is None else self.permuted(order)
         if len(bits) != view.n_qubits:
             raise ValueError("bit string length does not match register size")
@@ -221,25 +228,48 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Mixed state of a labeled register; Hermitian, unit trace, PSD by construction."""
+    """Mixed state of a labeled register; Hermitian, unit trace, PSD by construction.
+
+    ``DensityMatrix(labels, rho)`` is ``DensityMatrix.stack`` of one matrix:
+    the one check computes the spectrum, and the state keeps it.
+    """
 
     labels: tuple[QubitLabel, ...]
     rho: np.ndarray
     _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        labels = tuple(self.labels)
+        name = "wires " + StateVector._names(self.labels)
+        (checked,) = DensityMatrix.stack(self.labels, np.asarray(self.rho)[None], (name,))
+        for attr in ("labels", "rho", "_spectrum"):
+            object.__setattr__(self, attr, getattr(checked, attr))
+
+    @classmethod
+    def stack(
+        cls, labels: Sequence[QubitLabel], rhos: np.ndarray, names: Sequence[str]
+    ) -> list["DensityMatrix"]:
+        """One state per matrix of a stack (shape (k, d, d)) on the same wires.
+
+        The stack is checked once by ``check_density_stack`` (``names[i]``
+        naming member i), and each member keeps its row of the spectra, so
+        no member is checked again.
+        """
+        labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels in register")
-        rho = _freeze(self.rho)
+        rhos = _freeze(rhos)
         dim = 2 ** len(labels)
-        if rho.shape != (dim, dim):
-            raise ValueError(f"matrix shape {rho.shape} does not fit {len(labels)} qubits")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "rho", rho)
-        spectrum = self.validate()
-        spectrum.setflags(write=False)
-        object.__setattr__(self, "_spectrum", spectrum)
+        if rhos.ndim != 3 or rhos.shape[1:] != (dim, dim):
+            raise ValueError(f"matrix shape {rhos.shape[1:]} does not fit {len(labels)} qubits")
+        spectra = check_density_stack(rhos, names)
+        spectra.setflags(write=False)
+        members = []
+        for rho, spectrum in zip(rhos, spectra):
+            member = object.__new__(cls)
+            for attr, value in (("labels", labels), ("rho", rho), ("_spectrum", spectrum)):
+                object.__setattr__(member, attr, value)
+            members.append(member)
+        return members
 
     def validate(self) -> np.ndarray:
         """Re-check Hermiticity, unit trace and positivity; raise on failure.
@@ -371,7 +401,11 @@ def apply_to_targets(
     )
     m = op.matrix.reshape((2,) * (n_out + n_in))
     out = np.tensordot(m, state.tensor(), axes=(list(range(n_out, n_out + n_in)), target_axes))
-    return StateVector(new_labels, out.transpose(order).reshape(state.amps.shape[:-1] + (-1,)))
+    amps = out.transpose(order).reshape(state.amps.shape[:-1] + (-1,))
+    # Release the contraction before the constructor copies: otherwise three
+    # output-sized arrays are alive at once.
+    del out
+    return StateVector(new_labels, amps)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -402,8 +436,20 @@ def _reduced_matrix(state: StateVector, axes: tuple[int, ...], k: int) -> np.nda
 
 def partial_trace(state: StateVector, keep: Iterable[QubitLabel]) -> DensityMatrix:
     """Reduced density matrix over the kept wires, labels in canonical order."""
+    state._require_single("partial_trace")
     kept, axes = _trace_plan(state.labels, frozenset(keep), 0)
     return DensityMatrix(kept, _reduced_matrix(state, axes, len(kept)))
+
+
+def partial_traces(
+    state: StateVector, keep: Iterable[QubitLabel], names: Sequence[str]
+) -> list[DensityMatrix]:
+    """``partial_trace`` of each member of a stack of states, checked as one
+    stack (``names[i]`` naming member i); each state keeps its spectrum."""
+    if state.amps.ndim != 2:
+        raise ValueError("partial_traces takes a stack of states")
+    kept, axes = _trace_plan(state.labels, frozenset(keep), 1)
+    return DensityMatrix.stack(kept, _reduced_matrix(state, axes, len(kept)), names)
 
 
 def partial_trace_stack(

@@ -1,9 +1,9 @@
 """Report assembly, serialization and schema validation.
 
 Reports are plain JSON-compatible dictionaries.  Every float is rounded to 15
-significant digits before emission, so identical requests (and identical
-seeds) produce byte-identical output in every format; a NaN or infinity is
-an invariant failure.  Probabilities that sit
+significant digits where its record is built, so identical requests (and
+identical seeds) produce byte-identical output in every format; a NaN or
+infinity is an invariant failure.  Probabilities that sit
 within 1e-12 of a small rational p/q (q <= 1000) get a fraction annotation
 alongside the numeric value.
 """
@@ -32,11 +32,11 @@ from .protocol import (
     WParams,
     locate_broadcast_interval,
     pair_key,
-    run_protocol,
+    run_protocols,
     two_qubit_broadcasts,
 )
-# Not called here; kept because perfbench/layers.py traces wbcast.report.two_qubit_broadcast.
-from .protocol import two_qubit_broadcast
+# Not called here; kept because perfbench/layers.py traces these names in wbcast.report.
+from .protocol import run_protocol, two_qubit_broadcast
 from .registers import InvariantViolation
 from .schema import DRAFT7, Field, SchemaFailure, array, closed, const, enum, typed
 from .separability import ENTANGLED, SEPARABLE, PairVerdict
@@ -105,18 +105,15 @@ def fraction_note(x: float) -> str | None:
     return None
 
 
-def _round_floats(obj, key: str | None = None):
-    """Round every float to 15 digits.  A NaN or infinity, which JSON cannot
-    carry, raises an InvariantViolation naming the key it sits under."""
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise InvariantViolation(f"report field {key!r} is not finite ({obj})")
-        return round15(obj)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v, k) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, key) for v in obj]
-    return obj
+def _rounded(key: str, value):
+    """A report value as emitted: a float rounded to 15 digits, anything else
+    as it is.  A NaN or infinity, which JSON cannot carry, raises an
+    InvariantViolation naming the field ``key``."""
+    if not isinstance(value, float):
+        return value
+    if not math.isfinite(value):
+        raise InvariantViolation(f"report field {key!r} is not finite ({value})")
+    return round15(value)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +207,7 @@ _REQUEST_FIELDS = {
 def _request_block(request: RunRequest) -> dict:
     block: dict = {"mode": request.mode, "format": request.fmt}
     if request.params is not None:
-        block["alpha"] = request.params.alpha
-        block["beta"] = request.params.beta
-        block["gamma"] = request.params.gamma
+        block.update(_params_block(request.params))
     if request.branch1 is not None:
         block["branch1"] = str(request.branch1)
     if request.branch2 is not None:
@@ -228,6 +223,10 @@ def _request_block(request: RunRequest) -> dict:
     return block
 
 
+def _params_block(params: WParams) -> dict:
+    return {name: _rounded(name, getattr(params, name)) for name in ("alpha", "beta", "gamma")}
+
+
 def _pair_head(key: str) -> dict:
     """The fields a pair row and a pair's summary row open with."""
     return {"pair": key, "kind": "local" if key in _LOCAL_KEYS else "nonlocal"}
@@ -236,33 +235,30 @@ def _pair_head(key: str) -> dict:
 def _pair_row(key: str, verdict: PairVerdict) -> dict:
     claim = PAPER_CLAIMS[key]
     row = _pair_head(key)
-    row.update((name, getattr(verdict, name)) for name in _VERDICT_FIELDS)
+    row.update((name, _rounded(name, getattr(verdict, name))) for name in _VERDICT_FIELDS)
     row.update(paper_claim=claim, agrees_with_paper=verdict.classification == claim)
     return row
 
 
 def _run_record(index: int, transcript: Transcript) -> dict:
     config = transcript.config
+    five = transcript.five_qubit
     rows = [_pair_row(key, verdict) for key, verdict in transcript.pairs.items()]
     disagreeing = [row["pair"] for row in rows if not row["agrees_with_paper"]]
     record = {
         "index": index,
-        "params": {
-            "alpha": config.params.alpha,
-            "beta": config.params.beta,
-            "gamma": config.params.gamma,
-        },
+        "params": _params_block(config.params),
         "degenerate_input": bool(config.params.zero_components()),
         "branches": {"round1": str(config.branch1), "round2": str(config.branch2)},
         "apply_unitaries": config.apply_unitaries,
-        "p1": transcript.p1,
-        "p2": transcript.p2,
-        "joint_probability": transcript.p1 * transcript.p2,
+        "p1": _rounded("p1", transcript.p1),
+        "p2": _rounded("p2", transcript.p2),
+        "joint_probability": _rounded("joint_probability", transcript.p1 * transcript.p2),
         "five_qubit": {
-            "labels": [str(l) for l in transcript.five_qubit.labels],
-            "trace": float(np.real(np.trace(transcript.five_qubit.rho))),
-            "purity": transcript.five_qubit.purity(),
-            "eigenvalues": [float(v) for v in transcript.five_qubit.eigenvalues()],
+            "labels": [str(l) for l in five.labels],
+            "trace": _rounded("trace", float(np.real(np.trace(five.rho)))),
+            "purity": _rounded("purity", five.purity()),
+            "eigenvalues": [_rounded("eigenvalues", float(v)) for v in five.eigenvalues()],
         },
         "pairs": rows,
         "broadcast_ok": transcript.broadcast_ok,
@@ -320,42 +316,44 @@ def _assemble(request: RunRequest, runs: list[dict], summary: dict) -> dict:
         "runs": runs,
         "summary": summary,
     }
-    report = _round_floats(report)
     validate_report(report)
     return report
 
 
 def _protocol_records(
     request: RunRequest, runs: Iterable[tuple[WParams, MachineBranch, MachineBranch]]
-) -> list[dict]:
-    """Run the protocol on each (params, branch1, branch2) and record it."""
-    records = []
-    for index, (params, branch1, branch2) in enumerate(runs):
-        config = ProtocolConfig(params, branch1, branch2, request.apply_unitaries)
-        records.append(_run_record(index, run_protocol(config)))
-    return records
+) -> tuple[list[dict], float]:
+    """Run the protocol on each (params, branch1, branch2) and record it.
+
+    Also returns the unrounded joint probabilities summed left to right:
+    sum() of floats is compensated on Python >= 3.12, which would change the
+    total.  Each transcript is dropped once recorded, so at most one stack
+    of them is alive.
+    """
+    configs = [ProtocolConfig(*run, request.apply_unitaries) for run in runs]
+    records: list[dict] = []
+    total = 0.0
+    for index, transcript in enumerate(run_protocols(configs)):
+        records.append(_run_record(index, transcript))
+        total += transcript.p1 * transcript.p2
+    return records, total
 
 
 def run_single(request: RunRequest) -> dict:
-    records = _protocol_records(request, [(request.params, request.branch1, request.branch2)])
+    records, _ = _protocol_records(request, [(request.params, request.branch1, request.branch2)])
     return _assemble(request, records, _summary_block(records))
 
 
 def run_branches(request: RunRequest) -> dict:
-    records = _protocol_records(
+    records, total = _protocol_records(
         request, ((request.params, b1, b2) for b1 in BRANCH_ORDER for b2 in BRANCH_ORDER)
     )
-    # Summed left to right: sum() of floats is compensated on Python >= 3.12,
-    # which would change the reported total.
-    total = 0.0
-    for record in records:
-        total += record["joint_probability"]
     if not abs(total - 1.0) <= 1e-10:
         raise InvariantViolation(
             f"branch probabilities sum to {total!r}, expected 1 within 1e-10"
         )
     summary = _summary_block(records)
-    summary["probability_total"] = total
+    summary["probability_total"] = _rounded("probability_total", total)
     return _assemble(request, records, summary)
 
 
@@ -379,7 +377,7 @@ def sweep_params(count: int, seed: int) -> list[WParams]:
 def run_sweep(request: RunRequest) -> dict:
     branch = BRANCH_ORDER[0]
     draws = sweep_params(request.sweep_count, request.seed)
-    records = _protocol_records(request, ((params, branch, branch) for params in draws))
+    records, _ = _protocol_records(request, ((params, branch, branch) for params in draws))
     return _assemble(request, records, _summary_block(records))
 
 
@@ -387,19 +385,18 @@ def run_background(request: RunRequest) -> dict:
     grid = [i / (request.grid + 1) for i in range(1, request.grid + 1)]
     rows = []
     for result in two_qubit_broadcasts(grid):
-        rows.append(
-            {
-                "alpha_sq": result.alpha_sq,
-                "nonlocal_min_pt_eigenvalue": result.nonlocal_verdict.min_pt_eigenvalue,
-                "local_min_pt_eigenvalue": result.local_verdict.min_pt_eigenvalue,
-                "nonlocal_classification": result.nonlocal_verdict.classification,
-                "local_classification": result.local_verdict.classification,
-            }
-        )
+        cells = {
+            "alpha_sq": result.alpha_sq,
+            "nonlocal_min_pt_eigenvalue": result.nonlocal_verdict.min_pt_eigenvalue,
+            "local_min_pt_eigenvalue": result.local_verdict.min_pt_eigenvalue,
+            "nonlocal_classification": result.nonlocal_verdict.classification,
+            "local_classification": result.local_verdict.classification,
+        }
+        rows.append({name: _rounded(name, value) for name, value in cells.items()})
     lower, upper = locate_broadcast_interval()
     summary = {
         "points": request.grid,
-        "interval": {"lower": lower, "upper": upper},
+        "interval": {"lower": _rounded("lower", lower), "upper": _rounded("upper", upper)},
     }
     return _assemble(request, rows, summary)
 

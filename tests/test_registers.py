@@ -20,6 +20,7 @@ from wbcast.registers import (
     canonical_order,
     partial_trace,
     partial_trace_stack,
+    partial_traces,
     partial_transpose_stack,
 )
 from wbcast.cloner import bh_isometry
@@ -309,6 +310,48 @@ class TestBatchAxis:
         for i, amps in enumerate(stack.amps):
             alone = partial_trace_stack(StateVector(self.LABELS, amps), keeps, names[2 * i:][:2])
             assert rhos[2 * i:2 * i + 2].tobytes() == alone.tobytes()
+
+    def test_per_state_readers_reject_a_stack_by_name(self):
+        stack = self._stack()
+        with pytest.raises(ValueError, match="permuted takes a single state"):
+            stack.permuted(tuple(reversed(self.LABELS)))
+        with pytest.raises(ValueError, match="amplitude takes a single state"):
+            stack.amplitude("0000")
+        with pytest.raises(ValueError, match="partial_trace takes a single state"):
+            partial_trace(stack, {D(1), D(5)})
+        with pytest.raises(ValueError, match="takes a stack"):
+            partial_traces(StateVector(self.LABELS, stack.amps[0]), {D(1)}, ["state 0"])
+
+    def test_partial_traces_equal_each_member_alone(self):
+        stack = self._stack()
+        keep = {D(5), D(1), M("A", 1)}
+        states = partial_traces(stack, keep, [f"state {i}" for i in range(self.K)])
+        assert len(states) == self.K
+        for amps, got in zip(stack.amps, states, strict=True):
+            alone = partial_trace(StateVector(self.LABELS, amps), keep)
+            assert got.labels == alone.labels == (D(1), D(5), M("A", 1))
+            assert got.rho.tobytes() == alone.rho.tobytes()
+            assert got.eigenvalues().tobytes() == alone.eigenvalues().tobytes()
+            assert not got.rho.flags.writeable and not got.eigenvalues().flags.writeable
+
+    def test_density_stack_checks_once_and_names_the_failing_member(self, monkeypatch):
+        stack = self._stack()
+        rhos = np.stack([partial_trace(StateVector(self.LABELS, a), {D(1), D(2)}).rho
+                         for a in stack.amps])
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        states = DensityMatrix.stack((D(1), D(2)), rhos, [f"state {i}" for i in range(self.K)])
+        assert calls == [(self.K, 4, 4)]
+        assert [s.eigenvalues().tobytes() for s in states] == [
+            e.tobytes() for e in eigvalsh(rhos)
+        ]
+        broken = rhos.copy()
+        broken[3] *= 2.0
+        with pytest.raises(InvariantViolation, match="state 3 trace off"):
+            DensityMatrix.stack((D(1), D(2)), broken, [f"state {i}" for i in range(self.K)])
+        with pytest.raises(ValueError, match=r"matrix shape \(4, 4\) does not fit 1 qubits"):
+            DensityMatrix.stack((D(1),), rhos, [f"state {i}" for i in range(self.K)])
 
     def test_failing_member_is_named_point_major(self):
         stack = self._stack()

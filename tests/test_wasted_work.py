@@ -3,7 +3,8 @@
 A warm ``run_protocol`` call must not re-check any constant operator, and
 must compute at most four spectra: the five-qubit state's (read again by the
 report), one stack for the eleven pair states and one for their partial
-transposes.  A ``two_qubit_broadcast`` call computes at most two spectra,
+transposes.  A sweep runs in stacks of runs: three spectra per stack, not
+per run.  A ``two_qubit_broadcast`` call computes at most two spectra,
 and the bisection of ``locate_broadcast_interval`` evaluates each point once.
 The background grid runs in stacks: two spectra per stack, not per point,
 with memory bounded by the stack size, not the grid size.  These counts
@@ -23,14 +24,16 @@ from wbcast import protocol
 from wbcast.cloner import MachineBranch
 from wbcast.protocol import (
     BROADCAST_STACK_POINTS,
+    PROTOCOL_STACK_RUNS,
     ProtocolConfig,
     WParams,
     run_protocol,
+    run_protocols,
     two_qubit_broadcast,
     two_qubit_broadcasts,
 )
 from wbcast.registers import Operator
-from wbcast.report import RunRequest, run_background
+from wbcast.report import RunRequest, run_background, run_sweep, sweep_params
 
 UUU = MachineBranch.from_string("UUU")
 
@@ -68,6 +71,35 @@ def test_warm_run_repeats_no_check(monkeypatch):
 
     assert counts["operator_checks"] == 0
     assert counts["eigvalsh"] <= 4
+
+
+def test_sweep_computes_three_spectra_per_stack(monkeypatch):
+    request = RunRequest(mode="sweep", sweep_count=150, seed=0)
+    run_sweep(request)  # fills the operator and wire-plan caches
+
+    counts = _count_eigvalsh(monkeypatch)
+    _count_operator_checks(monkeypatch, counts)
+    run_sweep(request)
+
+    # The five-qubit states, the pair states and their partial transposes.
+    assert counts["eigvalsh"] <= 3 * math.ceil(150 / PROTOCOL_STACK_RUNS)
+    assert counts["operator_checks"] == 0
+
+
+def test_sweep_memory_is_bounded_by_the_stack():
+    configs = [ProtocolConfig(p, UUU, UUU) for p in sweep_params(150, 0)]
+    list(run_protocols(configs[:PROTOCOL_STACK_RUNS]))  # fills the caches
+
+    tracemalloc.start()
+    try:
+        transcripts = list(run_protocols(configs))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(transcripts) == len(configs)
+    # About 0.75 MiB; an operator application that keeps its contraction
+    # alive while the result is copied reaches about 1.25 MiB.
+    assert peak - retained < 2**20
 
 
 def test_background_point_computes_two_spectra(monkeypatch):
