@@ -141,7 +141,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = RUNNERS[request.mode](request)
-        rendered = render(report, request.fmt)
     except ImpossibleBranchError as exc:
         print(f"wbcast: {exc}", file=sys.stderr)
         return EXIT_IMPOSSIBLE_BRANCH
@@ -149,15 +148,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wbcast: {exc}", file=sys.stderr)
         return EXIT_INVARIANT_VIOLATION
 
+    # The report is checked and every value finite, so rendering cannot fail;
+    # its text is written as it is made and never held whole.
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(rendered)
+                render(report, request.fmt, handle.write)
         except OSError as exc:
             print(f"wbcast: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return EXIT_INVALID_INPUT
     else:
-        sys.stdout.write(rendered)
+        render(report, request.fmt, sys.stdout.write)
     return EXIT_OK
 
 

@@ -1,11 +1,17 @@
 """Report assembly, serialization and schema validation.
 
 Reports are plain JSON-compatible dictionaries.  Every float is rounded to 15
-significant digits where its record is built, so identical requests (and
-identical seeds) produce byte-identical output in every format; a NaN or
-infinity is an invariant failure.  Probabilities that sit
-within 1e-12 of a small rational p/q (q <= 1000) get a fraction annotation
-alongside the numeric value.
+significant digits where its record is built, in one pass per record's float
+list, so identical requests (and identical seeds) produce byte-identical
+output in every format; a NaN or infinity is an invariant failure naming its
+key.  Probabilities that sit within 1e-12 of a small rational p/q
+(q <= 1000) get a fraction annotation alongside the numeric value.
+
+JSON is written as ``json.dumps(report, indent=2)`` would write it, but only
+the nested levels are walked in Python: each container without nested
+containers is one call of CPython's C encoder, whose item separator carries
+the newline and indentation.  ``render(report, fmt, write)`` passes the text
+to ``write`` in chunks, so the whole text is never held in memory.
 """
 
 from __future__ import annotations
@@ -13,11 +19,14 @@ from __future__ import annotations
 import copy
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import lru_cache
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -50,6 +59,7 @@ FORMATS = ("json", "csv", "text")
 SWEEP_COMPONENT_FLOOR = 0.05
 
 _LOCAL_KEYS = {pair_key(p) for p in LOCAL_PAIRS}
+_PARAM_NAMES = ("alpha", "beta", "gamma")
 
 
 @dataclass(frozen=True)
@@ -105,15 +115,14 @@ def fraction_note(x: float) -> str | None:
     return None
 
 
-def _rounded(key: str, value):
-    """A report value as emitted: a float rounded to 15 digits, anything else
-    as it is.  A NaN or infinity, which JSON cannot carry, raises an
-    InvariantViolation naming the field ``key``."""
-    if not isinstance(value, float):
-        return value
-    if not math.isfinite(value):
+def _rounded(names: Iterable[str], values: Sequence[float]) -> list[float]:
+    """``values`` as emitted, each rounded to 15 digits, in one pass.  A NaN or
+    infinity, which JSON cannot carry, raises an InvariantViolation naming
+    its key, ``names`` being the keys of ``values`` in order."""
+    if not all(map(math.isfinite, values)):
+        key, value = next((k, v) for k, v in zip(names, values) if not math.isfinite(v))
         raise InvariantViolation(f"report field {key!r} is not finite ({value})")
-    return round15(value)
+    return [float(format(v, ".15g")) for v in values]  # round15's rule
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +150,16 @@ _PAIR_FIELDS = {
     "paper_claim": _CLASSIFICATION,
     "agrees_with_paper": _BOOLEAN,
 }
-# The pair-row fields between the head and the paper's claim, copied by
-# _pair_row from the PairVerdict attributes of the same names.
-_VERDICT_FIELDS = tuple(_PAIR_FIELDS)[2:-2]
+# The pair-row numbers, read by _pair_row from the PairVerdict attributes of
+# the same names.
+_VERDICT_NUMBERS = tuple(_PAIR_FIELDS)[2:6]
+_verdict_numbers = attrgetter(*_VERDICT_NUMBERS)
+
+# Each pair's kind and paper claim, the fields its rows share.
+_PAIR_HEADS = {
+    key: ("local" if key in _LOCAL_KEYS else "nonlocal", PAPER_CLAIMS[key])
+    for key in map(pair_key, ALL_PAIRS)
+}
 
 _BACKGROUND_FIELDS = {
     "alpha_sq": typed("number", exclusiveMinimum=0, exclusiveMaximum=1),
@@ -152,6 +168,8 @@ _BACKGROUND_FIELDS = {
     "nonlocal_classification": _CLASSIFICATION,
     "local_classification": _CLASSIFICATION,
 }
+# The background-row numbers, in report order.
+_BACKGROUND_NUMBERS = tuple(_BACKGROUND_FIELDS)[:3]
 
 _RUN_FIELDS = {
     "index": _COUNT,
@@ -184,6 +202,8 @@ _RUN_FIELDS = {
     "note": _STRING,
 }
 _OPTIONAL_RUN_FIELDS = ("p1_fraction", "p2_fraction", "note")
+# A run record's numbers outside its lists, rounded in one pass.
+_RUN_NUMBERS = ("p1", "p2", "joint_probability", "trace", "purity")
 
 _REQUEST_FIELDS = {
     "mode": enum(*MODES),
@@ -224,25 +244,31 @@ def _request_block(request: RunRequest) -> dict:
 
 
 def _params_block(params: WParams) -> dict:
-    return {name: _rounded(name, getattr(params, name)) for name in ("alpha", "beta", "gamma")}
-
-
-def _pair_head(key: str) -> dict:
-    """The fields a pair row and a pair's summary row open with."""
-    return {"pair": key, "kind": "local" if key in _LOCAL_KEYS else "nonlocal"}
+    values = _rounded(_PARAM_NAMES, (params.alpha, params.beta, params.gamma))
+    return dict(zip(_PARAM_NAMES, values))
 
 
 def _pair_row(key: str, verdict: PairVerdict) -> dict:
-    claim = PAPER_CLAIMS[key]
-    row = _pair_head(key)
-    row.update((name, _rounded(name, getattr(verdict, name))) for name in _VERDICT_FIELDS)
-    row.update(paper_claim=claim, agrees_with_paper=verdict.classification == claim)
-    return row
+    kind, claim = _PAIR_HEADS[key]
+    numbers = _rounded(_VERDICT_NUMBERS, _verdict_numbers(verdict))
+    verdict_class = verdict.classification
+    cells = (key, kind, *numbers, verdict_class, claim, verdict_class == claim)
+    return dict(zip(_PAIR_FIELDS, cells))
 
 
 def _run_record(index: int, transcript: Transcript) -> dict:
     config = transcript.config
     five = transcript.five_qubit
+    p1, p2, joint, trace, purity = _rounded(
+        _RUN_NUMBERS,
+        (
+            transcript.p1,
+            transcript.p2,
+            transcript.p1 * transcript.p2,
+            float(np.real(np.trace(five.rho))),
+            five.purity(),
+        ),
+    )
     rows = [_pair_row(key, verdict) for key, verdict in transcript.pairs.items()]
     disagreeing = [row["pair"] for row in rows if not row["agrees_with_paper"]]
     record = {
@@ -251,14 +277,14 @@ def _run_record(index: int, transcript: Transcript) -> dict:
         "degenerate_input": bool(config.params.zero_components()),
         "branches": {"round1": str(config.branch1), "round2": str(config.branch2)},
         "apply_unitaries": config.apply_unitaries,
-        "p1": _rounded("p1", transcript.p1),
-        "p2": _rounded("p2", transcript.p2),
-        "joint_probability": _rounded("joint_probability", transcript.p1 * transcript.p2),
+        "p1": p1,
+        "p2": p2,
+        "joint_probability": joint,
         "five_qubit": {
             "labels": [str(l) for l in five.labels],
-            "trace": _rounded("trace", float(np.real(np.trace(five.rho)))),
-            "purity": _rounded("purity", five.purity()),
-            "eigenvalues": [_rounded("eigenvalues", float(v)) for v in five.eigenvalues()],
+            "trace": trace,
+            "purity": purity,
+            "eigenvalues": _rounded(repeat("eigenvalues"), five.eigenvalues().tolist()),
         },
         "pairs": rows,
         "broadcast_ok": transcript.broadcast_ok,
@@ -283,14 +309,15 @@ def _run_record(index: int, transcript: Transcript) -> dict:
 def _summary_block(records: list[dict]) -> dict:
     by_pair = [
         {
-            **_pair_head(key),
-            "paper_claim": PAPER_CLAIMS[key],
+            "pair": key,
+            "kind": kind,
+            "paper_claim": claim,
             "runs": len(records),
             "agree": 0,
             "disagree": 0,
             "entangled_count": 0,
         }
-        for key in map(pair_key, ALL_PAIRS)
+        for key, (kind, claim) in _PAIR_HEADS.items()
     ]
     for record in records:
         # Every record lists its pair rows in ALL_PAIRS order.
@@ -353,7 +380,7 @@ def run_branches(request: RunRequest) -> dict:
             f"branch probabilities sum to {total!r}, expected 1 within 1e-10"
         )
     summary = _summary_block(records)
-    summary["probability_total"] = _rounded("probability_total", total)
+    summary["probability_total"] = _rounded(("probability_total",), (total,))[0]
     return _assemble(request, records, summary)
 
 
@@ -385,18 +412,17 @@ def run_background(request: RunRequest) -> dict:
     grid = [i / (request.grid + 1) for i in range(1, request.grid + 1)]
     rows = []
     for result in two_qubit_broadcasts(grid):
-        cells = {
-            "alpha_sq": result.alpha_sq,
-            "nonlocal_min_pt_eigenvalue": result.nonlocal_verdict.min_pt_eigenvalue,
-            "local_min_pt_eigenvalue": result.local_verdict.min_pt_eigenvalue,
-            "nonlocal_classification": result.nonlocal_verdict.classification,
-            "local_classification": result.local_verdict.classification,
-        }
-        rows.append({name: _rounded(name, value) for name, value in cells.items()})
-    lower, upper = locate_broadcast_interval()
+        nonlocal_verdict, local_verdict = result.nonlocal_verdict, result.local_verdict
+        numbers = _rounded(
+            _BACKGROUND_NUMBERS,
+            (result.alpha_sq, nonlocal_verdict.min_pt_eigenvalue, local_verdict.min_pt_eigenvalue),
+        )
+        cells = (*numbers, nonlocal_verdict.classification, local_verdict.classification)
+        rows.append(dict(zip(_BACKGROUND_FIELDS, cells)))
+    bounds = ("lower", "upper")
     summary = {
         "points": request.grid,
-        "interval": {"lower": _rounded("lower", lower), "upper": _rounded("upper", upper)},
+        "interval": dict(zip(bounds, _rounded(bounds, locate_broadcast_interval()))),
     }
     return _assemble(request, rows, summary)
 
@@ -457,8 +483,79 @@ def validate_report(report: dict) -> None:
 # Rendering
 
 
-def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+Write = Callable[[str], object]
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _not_serializable(value):
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+@lru_cache(maxsize=None)
+def _scalar_encoder(depth: int):
+    """CPython's C encoder for the items of a container nested ``depth``
+    levels deep: its item separator breaks the line and indents the next
+    item."""
+    return c_make_encoder(
+        None,  # no circular-reference markers
+        _not_serializable,
+        encode_basestring_ascii,
+        None,  # no indent: the item separator carries it
+        ": ",
+        ",\n" + "  " * (depth + 1),
+        False,  # sort_keys
+        False,  # skipkeys
+        False,  # allow_nan
+    )
+
+
+def _encode(value, depth: int) -> str:
+    return "".join(_scalar_encoder(depth)(value, 0))
+
+
+def _emit(value, depth: int, write: Write) -> None:
+    """Write ``value``, nested ``depth`` levels deep, as ``json.dumps(value,
+    indent=2, allow_nan=False)`` writes it (for str keys).  Only the levels
+    holding containers are walked here; every other container is one C
+    encoder call, with the line breaks after its opening and before its
+    closing bracket added here."""
+    if not isinstance(value, _CONTAINERS):
+        write(_encode(value, depth))
+        return
+    if not value:
+        write("{}" if isinstance(value, dict) else "[]")
+        return
+    is_dict = isinstance(value, dict)
+    items = value.values() if is_dict else value
+    indent = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth
+    if not any(isinstance(item, _CONTAINERS) for item in items):
+        text = _encode(value, depth)
+        write(f"{text[0]}{indent}{text[1:-1]}{close}{text[-1]}")
+        return
+    write("{" if is_dict else "[")
+    keys = (f"{encode_basestring_ascii(key)}: " for key in value) if is_dict else repeat("")
+    separator = indent
+    for key, item in zip(keys, items):
+        if isinstance(item, _CONTAINERS):
+            write(separator + key)
+            _emit(item, depth + 1, write)
+        else:
+            write(separator + key + _encode(item, depth))
+        separator = "," + indent
+    write(close + ("}" if is_dict else "]"))
+
+
+def render_json(report: dict, write: Write | None = None) -> str | None:
+    """The report as ``json.dumps(report, indent=2, allow_nan=False)`` text
+    and a final newline; given ``write``, that text is passed to it in
+    chunks and None is returned."""
+    chunks: list[str] = []
+    sink = chunks.append if write is None else write
+    _emit(report, 0, sink)
+    sink("\n")
+    return "".join(chunks) if write is None else None
 
 
 # The per-run cells the protocol csv repeats before each pair row's fields.
@@ -588,11 +685,18 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render(report: dict, fmt: str) -> str:
+def render(report: dict, fmt: str, write: Write | None = None) -> str | None:
+    """The report as ``fmt`` text; given ``write``, that text is passed to it
+    (json in chunks, csv and text whole) and None is returned."""
     if fmt == "json":
-        return render_json(report)
+        return render_json(report, write)
     if fmt == "csv":
-        return render_csv(report)
-    if fmt == "text":
-        return render_text(report)
-    raise ValueError(f"unknown format {fmt!r}")
+        text = render_csv(report)
+    elif fmt == "text":
+        text = render_text(report)
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    if write is None:
+        return text
+    write(text)
+    return None

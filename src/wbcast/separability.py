@@ -43,15 +43,15 @@ class PairVerdict:
 
 def _w_stack(pts: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """(W3, W4) of each partial transpose in a stack, real parts."""
-    w3 = np.linalg.det(pts[:, :3, :3])
-    w4 = np.linalg.det(pts)
-    for i, name in enumerate(names):
-        for witness, value in (("W3", w3[i]), ("W4", w4[i])):
-            if not abs(value.imag) <= ATOL_PSD:  # NaN fails too
-                raise InvariantViolation(
-                    f"{witness} of {name} has imaginary residue {value.imag:.3e}"
-                )
-    return w3.real, w4.real
+    w = np.stack((np.linalg.det(pts[:, :3, :3]), np.linalg.det(pts)), axis=-1)
+    # Row-major order: the first failing member, and W3 before W4 within it.
+    for flat in np.flatnonzero(~(np.abs(w.imag) <= ATOL_PSD)):  # NaN fails too
+        member, witness = divmod(int(flat), 2)
+        raise InvariantViolation(
+            f"W{witness + 3} of {names[member]} has imaginary residue "
+            f"{w.imag.flat[flat]:.3e}"
+        )
+    return w[:, 0].real, w[:, 1].real
 
 
 def ppt_verdicts(rhos: np.ndarray, names: Sequence[str]) -> list[PairVerdict]:

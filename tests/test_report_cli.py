@@ -531,6 +531,51 @@ class TestCli:
         assert captured.out == ""
         assert "'local_min_pt_eigenvalue' is not finite (nan)" in captured.err
 
+    @staticmethod
+    def _break_transcripts(monkeypatch, breaker):
+        run_protocols = report_module.run_protocols
+
+        def broken_run_protocols(configs):
+            return map(breaker, run_protocols(configs))
+
+        monkeypatch.setattr(report_module, "run_protocols", broken_run_protocols)
+
+    def test_non_finite_eigenvalue_exit_4(self, capsys, monkeypatch):
+        class NanSpectrum:
+            """A five-qubit state whose eighth eigenvalue reads NaN."""
+
+            def __init__(self, five):
+                self._five = five
+
+            def __getattr__(self, name):
+                return getattr(self._five, name)
+
+            def eigenvalues(self):
+                spectrum = self._five.eigenvalues().copy()
+                spectrum[7] = math.nan
+                return spectrum
+
+        self._break_transcripts(
+            monkeypatch,
+            lambda t: dataclasses.replace(t, five_qubit=NanSpectrum(t.five_qubit)),
+        )
+        assert main(ARGS_SINGLE) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'eigenvalues' is not finite (nan)" in captured.err
+
+    def test_non_finite_pair_witness_exit_4(self, capsys, monkeypatch):
+        def nan_w3(transcript):
+            pairs = dict(transcript.pairs)
+            pairs["86"] = dataclasses.replace(pairs["86"], w3=math.nan)
+            return dataclasses.replace(transcript, pairs=pairs)
+
+        self._break_transcripts(monkeypatch, nan_w3)
+        assert main(["sweep", "--sweep", "3", "--seed", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'w3' is not finite (nan)" in captured.err
+
     def test_json_refuses_non_finite_values(self, single_report):
         broken = copy.deepcopy(single_report)
         broken["runs"][0]["p1"] = math.inf

@@ -166,3 +166,21 @@ class TestVerdictFields:
         with np.errstate(invalid="ignore"):  # det warns on NaN input
             with pytest.raises(InvariantViolation, match="W3 of 58 has imaginary residue nan"):
                 _w_stack(pts, ("15", "58"))
+
+    @pytest.mark.parametrize(
+        "residues, message",
+        [
+            # Entry (3, 3) lies outside the W3 minor, entry (0, 0) inside it.
+            ({5: (3, 3), 7: (0, 0)}, r"W4 of m5 has imaginary residue 1\.56\de-03"),
+            ({5: (0, 0), 7: (3, 3)}, r"W3 of m5 has imaginary residue 6\.25\de-03"),
+        ],
+    )
+    def test_residue_names_the_first_failing_member(self, residues, message):
+        pts = np.stack([np.eye(4, dtype=complex) / 4] * 8)
+        for member, entry in residues.items():
+            pts[member][entry] += 0.1j
+        names = [f"m{i}" for i in range(8)]
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            _w_stack(pts, names)
+        w3, w4 = _w_stack(pts[:5], names[:5])
+        assert np.allclose(w3, 1 / 64) and np.allclose(w4, 1 / 256)

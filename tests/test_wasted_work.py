@@ -7,13 +7,15 @@ transposes.  A sweep runs in stacks of runs: three spectra per stack, not
 per run.  A ``two_qubit_broadcast`` call computes at most two spectra,
 and the bisection of ``locate_broadcast_interval`` evaluates each point once.
 The background grid runs in stacks: two spectra per stack, not per point,
-with memory bounded by the stack size, not the grid size.  These counts
+with memory bounded by the stack size, not the grid size.  A JSON report is
+written as it is made, so its whole text is never held.  These counts
 repeat exactly, unlike timings.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import tracemalloc
 from collections import Counter
 
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 from wbcast import protocol
+from wbcast.cli import main
 from wbcast.cloner import MachineBranch
 from wbcast.protocol import (
     BROADCAST_STACK_POINTS,
@@ -33,7 +36,7 @@ from wbcast.protocol import (
     two_qubit_broadcasts,
 )
 from wbcast.registers import Operator
-from wbcast.report import RunRequest, run_background, run_sweep, sweep_params
+from wbcast.report import RUNNERS, RunRequest, render_json, run_background, run_sweep, sweep_params
 
 UUU = MachineBranch.from_string("UUU")
 
@@ -100,6 +103,22 @@ def test_sweep_memory_is_bounded_by_the_stack():
     # About 0.75 MiB; an operator application that keeps its contraction
     # alive while the result is copied reaches about 1.25 MiB.
     assert peak - retained < 2**20
+
+
+def test_json_report_is_written_as_it_is_made(monkeypatch):
+    report = run_sweep(RunRequest(mode="sweep", sweep_count=150, seed=0))
+    size = len(render_json(report))
+    monkeypatch.setitem(RUNNERS, "sweep", lambda request: report)
+
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--sweep", "150", "--seed", "0", "--out", os.devnull])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # About 60 KB of an 844 KB report; holding its text takes all 844 KB.
+    assert peak < size / 4
 
 
 def test_background_point_computes_two_spectra(monkeypatch):
