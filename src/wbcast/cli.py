@@ -1,20 +1,23 @@
 """Command line interface.
 
-Exit codes: 0 on success, 2 for invalid input, 3 for a measurement branch of
-zero probability, 4 when an internal invariant check fails (a NaN or infinite
-report value included).
+Options are stored under their mode's ``MODE_FIELDS`` names.  Exit codes: 0
+on success, 2 for invalid input or an unwritable ``--out`` or stdout, 3 for a
+zero-probability measurement branch, 4 when an internal invariant check fails
+(a NaN or infinite report value included).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from contextlib import nullcontext, suppress
 
 from .cloner import ImpossibleBranchError, MachineBranch
 from .protocol import WParams
 from .registers import InvariantViolation
-from .report import FORMATS, RUNNERS, RunRequest, render
+from .report import FORMATS, MODE_FIELDS, RUNNERS, RunRequest, render
 
 # The CLI accepts hand-typed amplitudes (for example 0.5774 three times) and
 # normalizes them exactly; directions more than this far from the unit sphere
@@ -48,7 +51,8 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 def _add_unitaries(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-unitaries",
-        action="store_true",
+        action="store_false",
+        dest="apply_unitaries",
         help="skip the local dressing stage (verdicts are unaffected)",
     )
 
@@ -77,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(branches)
 
     sweep = sub.add_parser("sweep", help="seeded random parameter draws")
-    sweep.add_argument("--sweep", type=int, default=50, metavar="N", help="number of draws")
+    sweep.add_argument(
+        "--sweep", type=int, default=50, metavar="N", dest="sweep_count", help="number of draws"
+    )
     sweep.add_argument("--seed", type=int, default=0)
     _add_unitaries(sweep)
     _add_output(sweep)
@@ -104,31 +110,18 @@ def _params_from_args(args: argparse.Namespace) -> WParams:
 
 
 def _request_from_args(args: argparse.Namespace) -> RunRequest:
-    if args.mode == "single":
-        return RunRequest(
-            mode="single",
-            params=_params_from_args(args),
-            branch1=args.branch1,
-            branch2=args.branch2,
-            apply_unitaries=not args.no_unitaries,
-            fmt=args.fmt,
-        )
-    if args.mode == "branches":
-        return RunRequest(
-            mode="branches",
-            params=_params_from_args(args),
-            apply_unitaries=not args.no_unitaries,
-            fmt=args.fmt,
-        )
-    if args.mode == "sweep":
-        return RunRequest(
-            mode="sweep",
-            sweep_count=args.sweep,
-            seed=args.seed,
-            apply_unitaries=not args.no_unitaries,
-            fmt=args.fmt,
-        )
-    return RunRequest(mode="background", grid=args.grid, fmt=args.fmt)
+    fields = {
+        name: _params_from_args(args) if name == "params" else getattr(args, name)
+        for name in MODE_FIELDS[args.mode]
+    }
+    return RunRequest(mode=args.mode, fmt=args.fmt, **fields)
+
+
+def _sink(path: str | None):
+    """The ``--out`` file, or stdout as it is now (a closed fd 1 fails here)."""
+    if path:
+        return open(path, "w", encoding="utf-8", newline="")
+    return nullcontext(sys.stdout or open(1, "w", closefd=False))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -148,17 +141,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wbcast: {exc}", file=sys.stderr)
         return EXIT_INVARIANT_VIOLATION
 
-    # The report is checked and every value finite, so rendering cannot fail;
-    # its text is written as it is made and never held whole.
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                render(report, request.fmt, handle.write)
-        except OSError as exc:
-            print(f"wbcast: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return EXIT_INVALID_INPUT
-    else:
-        render(report, request.fmt, sys.stdout.write)
+    # The report is checked and every value finite, so only the write can
+    # fail; its text is written as it is made and never held whole.
+    try:
+        with _sink(args.out) as sink:
+            render(report, request.fmt, sink.write)
+            sink.flush()
+    except OSError as exc:
+        print(f"wbcast: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        if not args.out:  # stdout keeps unwritten bytes and would fail again at exit
+            with suppress(AttributeError, OSError, ValueError), open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())  # a captured stdout has no fd
+        return EXIT_INVALID_INPUT
     return EXIT_OK
 
 

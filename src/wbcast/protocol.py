@@ -214,6 +214,11 @@ def apply_local_unitaries(state: StateVector) -> StateVector:
     return state
 
 
+def _require_names(state: StateVector, names: Sequence[str] | None, reader: str) -> None:
+    if names is None or len(names) != len(state.amps):
+        raise ValueError(f"{reader} takes one name per member of a stack of {len(state.amps)}")
+
+
 def five_qubit_state(
     state: StateVector, names: Sequence[str] | None = None
 ) -> DensityMatrix | list[DensityMatrix]:
@@ -224,6 +229,7 @@ def five_qubit_state(
     _require_register(state, _DATA_WIRES, "five_qubit_state")
     if state.amps.ndim == 1:
         return partial_trace(state, _FIVE_QUBIT_WIRES)
+    _require_names(state, names, "five_qubit_state")
     return partial_traces(
         state, _FIVE_QUBIT_WIRES, [f"five-qubit state of {name}" for name in names]
     )
@@ -248,6 +254,7 @@ def pair_verdicts(
     if state.amps.ndim == 1:
         pair_names: Sequence[str] = _PAIR_NAMES
     else:
+        _require_names(state, names, "pair_verdicts")
         pair_names = [f"{pair} of {name}" for name in names for pair in _PAIR_NAMES]
     verdicts = ppt_verdicts(partial_trace_stack(state, _PAIR_LABELS, pair_names), pair_names)
     runs = [

@@ -52,7 +52,14 @@ from .separability import ENTANGLED, SEPARABLE, PairVerdict
 
 SCHEMA_VERSION = 1
 
-MODES = ("single", "branches", "sweep", "background")
+# Each mode's request fields in report order; "params" is alpha, beta, gamma.
+MODE_FIELDS = {
+    "single": ("params", "branch1", "branch2", "apply_unitaries"),
+    "branches": ("params", "apply_unitaries"),
+    "sweep": ("apply_unitaries", "sweep_count", "seed"),
+    "background": ("grid",),
+}
+MODES = tuple(MODE_FIELDS)
 FORMATS = ("json", "csv", "text")
 
 # Sweep draws reject any component of the direction below this floor.
@@ -60,42 +67,43 @@ SWEEP_COMPONENT_FLOOR = 0.05
 
 _LOCAL_KEYS = {pair_key(p) for p in LOCAL_PAIRS}
 _PARAM_NAMES = ("alpha", "beta", "gamma")
+_TAKEN_FIELDS = tuple(dict.fromkeys(n for names in MODE_FIELDS.values() for n in names))
 
 
 @dataclass(frozen=True)
 class RunRequest:
-    """Validated CLI request, echoed verbatim into the report."""
+    """A request: its mode's ``MODE_FIELDS`` set, every other field None, and
+    its block passing the report schema's ``request`` field; or a ValueError."""
 
     mode: str
     params: WParams | None = None
     branch1: MachineBranch | None = None
     branch2: MachineBranch | None = None
-    apply_unitaries: bool = True
+    apply_unitaries: bool | None = None  # True where the mode takes it
     sweep_count: int | None = None
     seed: int | None = None
     grid: int | None = None
     fmt: str = "json"
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.mode in ("single", "branches") and self.params is None:
-            raise ValueError(f"mode {self.mode!r} requires alpha, beta, gamma")
-        if self.mode == "single":
-            if self.branch1 is None or self.branch2 is None:
-                raise ValueError("single mode requires both branches")
-        if self.mode == "sweep":
-            if self.sweep_count is None or self.sweep_count < 1:
-                raise ValueError("sweep mode requires a positive draw count")
-            if self.seed is None:
-                raise ValueError("sweep mode requires a seed")
-            if self.seed < 0:
-                raise ValueError(f"sweep seed must be non-negative, got {self.seed}")
-        if self.mode == "background":
-            if self.grid is None or self.grid < 100:
-                raise ValueError("background mode requires a grid of at least 100 points")
+        try:
+            _REQUEST.check({"mode": self.mode, "format": self.fmt})  # the mode names the fields
+            taken = MODE_FIELDS[self.mode]
+            if self.apply_unitaries is None and "apply_unitaries" in taken:
+                object.__setattr__(self, "apply_unitaries", True)
+            for name in _TAKEN_FIELDS:
+                value = getattr(self, name)
+                if (value is None) == (name in taken):
+                    verb = "requires" if name in taken else "takes no"
+                    words = ", ".join(_PARAM_NAMES) if name == "params" else name
+                    raise ValueError(f"mode {self.mode!r} {verb} {words}")
+                # Draft-7's "integer" also admits 2.0, which range() and numpy's seeding reject.
+                if name in _INTEGER_FIELDS and value is not None and type(value) is not int:
+                    raise ValueError(f"{name} must be an int, got {value!r}")
+            _REQUEST.check(_request_block(self))
+        except SchemaFailure as failure:
+            failure.path.append("request")
+            raise ValueError(str(failure)) from None
 
 
 def round15(x: float) -> float:
@@ -218,6 +226,8 @@ _REQUEST_FIELDS = {
     "seed": _COUNT,
     "grid": typed("integer", minimum=100),
 }
+_REQUEST = closed(_REQUEST_FIELDS, ["mode", "format"])
+_INTEGER_FIELDS = {k for k, f in _REQUEST_FIELDS.items() if f.schema.get("type") == "integer"}
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +236,12 @@ _REQUEST_FIELDS = {
 
 def _request_block(request: RunRequest) -> dict:
     block: dict = {"mode": request.mode, "format": request.fmt}
-    if request.params is not None:
-        block.update(_params_block(request.params))
-    if request.branch1 is not None:
-        block["branch1"] = str(request.branch1)
-    if request.branch2 is not None:
-        block["branch2"] = str(request.branch2)
-    if request.mode in ("single", "branches", "sweep"):
-        block["apply_unitaries"] = request.apply_unitaries
-    if request.sweep_count is not None:
-        block["sweep_count"] = request.sweep_count
-    if request.seed is not None:
-        block["seed"] = request.seed
-    if request.grid is not None:
-        block["grid"] = request.grid
+    for name in MODE_FIELDS[request.mode]:
+        value = getattr(request, name)
+        if name == "params":
+            block.update(_params_block(value))
+        else:
+            block[name] = str(value) if isinstance(value, MachineBranch) else value
     return block
 
 
@@ -444,7 +446,7 @@ def _report_field(run: Field) -> Field:
         {
             "version": _STRING,
             "schema_version": const(SCHEMA_VERSION),
-            "request": closed(_REQUEST_FIELDS, ["mode", "format"]),
+            "request": _REQUEST,
             "runs": array(run),
             "summary": typed("object"),
         }

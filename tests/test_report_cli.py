@@ -71,7 +71,7 @@ class TestRunRequest:
     def test_single_requires_params_and_branches(self):
         with pytest.raises(ValueError, match="alpha"):
             RunRequest(mode="single", branch1=UUU, branch2=UUU)
-        with pytest.raises(ValueError, match="branches"):
+        with pytest.raises(ValueError, match="requires branch2"):
             RunRequest(mode="single", params=UNIFORM, branch1=UUU)
 
     def test_sweep_requires_count_and_seed(self):
@@ -79,7 +79,7 @@ class TestRunRequest:
             RunRequest(mode="sweep", sweep_count=0, seed=1)
         with pytest.raises(ValueError, match="seed"):
             RunRequest(mode="sweep", sweep_count=5)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="minimum of 0"):
             RunRequest(mode="sweep", sweep_count=5, seed=-1)
 
     def test_background_requires_grid(self):

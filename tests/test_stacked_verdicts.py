@@ -29,6 +29,7 @@ from wbcast.protocol import (
     WParams,
     apply_local_unitaries,
     branch_select,
+    five_qubit_state,
     pair_key,
     pair_verdicts,
     prepare_w,
@@ -255,3 +256,27 @@ class TestStackFailuresNameTheirMember:
         spectra = check_density_stack(stack, self.NAMES)
         for rho, spectrum in zip(stack, spectra):
             assert spectrum.tobytes() == np.linalg.eigvalsh(rho).tobytes()
+
+
+class TestStacksCarryTheirNames:
+    """A stack's readers take one name per member, so that any member's
+    failure can be named; without them they refuse the stack by name."""
+
+    NAMES = ("run 0", "run 1")
+
+    @pytest.fixture(scope="class")
+    def final(self):
+        stack = prepare_w([TRIPLES[0], TRIPLES[1]])
+        selected1, _ = branch_select(round_one(stack), [BRANCH_ORDER[0]] * 2, self.NAMES)
+        selected2, _ = branch_select(round_two(selected1), [BRANCH_ORDER[5]] * 2, self.NAMES)
+        return apply_local_unitaries(selected2)
+
+    @pytest.mark.parametrize("reader", [five_qubit_state, pair_verdicts])
+    @pytest.mark.parametrize("names", [None, ("run 0",), ("run 0", "run 1", "run 2")])
+    def test_stack_without_one_name_per_member_is_refused(self, final, reader, names):
+        with pytest.raises(ValueError, match=f"{reader.__name__} takes one name per member"):
+            reader(final, names)
+
+    @pytest.mark.parametrize("reader", [five_qubit_state, pair_verdicts])
+    def test_stack_with_its_names_gives_one_result_per_member(self, final, reader):
+        assert len(reader(final, self.NAMES)) == 2
