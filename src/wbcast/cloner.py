@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .registers import InvariantViolation, Operator, QubitLabel, StateVector, apply_to_targets
+from .registers import InvariantViolation, Operator, QubitLabel, StateVector
+from .registers import apply_to_targets, require_names
 
 # A branch with squared projection norm below this is treated as impossible.
 MIN_BRANCH_PROBABILITY = 1e-14
@@ -37,9 +38,6 @@ class MachineOutcome(enum.Enum):
     @property
     def bit(self) -> int:
         return 0 if self is MachineOutcome.UP else 1
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -133,17 +131,19 @@ def measure_machines(
         raise ValueError("exactly three distinct machine wires are required")
     single = state.amps.ndim == 1
     branches = (branch,) if single else tuple(branch)
-    amps = state.amps[None] if single else state.amps
-    k = len(amps)
+    stack = state.tensor()
+    k = len(stack)
     if len(branches) != k:
         raise ValueError(f"{len(branches)} branches given for a stack of {k} states")
+    if names is not None:
+        require_names(names, k, "measure_machines")
 
     # Member i keeps the entries with its own branch's bits on the machine
     # axes; the batch index and the bit indices broadcast to k picks.
     index: list = [np.arange(k)] + [slice(None)] * state.n_qubits
     for machine, outcomes in zip(machines, zip(*(b.outcomes for b in branches))):
         index[1 + state.axis(machine)] = np.array([o.bit for o in outcomes])
-    sub = amps.reshape((k,) + (2,) * state.n_qubits)[tuple(index)].reshape(k, -1)
+    sub = stack[tuple(index)].reshape(k, -1)
 
     probabilities = np.sum(np.abs(sub) ** 2, axis=1)
     for failure, bad in (

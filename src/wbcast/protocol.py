@@ -36,6 +36,7 @@ from .registers import (
     partial_trace,
     partial_trace_stack,
     partial_traces,
+    require_names,
 )
 from .separability import ENTANGLED, SEPARABLE, PairVerdict, ppt_verdicts
 # Not called here; kept because perfbench/layers.py traces wbcast.protocol.ppt_verdict.
@@ -214,11 +215,6 @@ def apply_local_unitaries(state: StateVector) -> StateVector:
     return state
 
 
-def _require_names(state: StateVector, names: Sequence[str] | None, reader: str) -> None:
-    if names is None or len(names) != len(state.amps):
-        raise ValueError(f"{reader} takes one name per member of a stack of {len(state.amps)}")
-
-
 def five_qubit_state(
     state: StateVector, names: Sequence[str] | None = None
 ) -> DensityMatrix | list[DensityMatrix]:
@@ -229,7 +225,7 @@ def five_qubit_state(
     _require_register(state, _DATA_WIRES, "five_qubit_state")
     if state.amps.ndim == 1:
         return partial_trace(state, _FIVE_QUBIT_WIRES)
-    _require_names(state, names, "five_qubit_state")
+    require_names(names, len(state.amps), "five_qubit_state")
     return partial_traces(
         state, _FIVE_QUBIT_WIRES, [f"five-qubit state of {name}" for name in names]
     )
@@ -254,7 +250,7 @@ def pair_verdicts(
     if state.amps.ndim == 1:
         pair_names: Sequence[str] = _PAIR_NAMES
     else:
-        _require_names(state, names, "pair_verdicts")
+        require_names(names, len(state.amps), "pair_verdicts")
         pair_names = [f"{pair} of {name}" for name in names for pair in _PAIR_NAMES]
     verdicts = ppt_verdicts(partial_trace_stack(state, _PAIR_LABELS, pair_names), pair_names)
     runs = [
@@ -385,8 +381,8 @@ def _broadcast_stack(alpha_sqs: Sequence[float]) -> list[TwoQubitBroadcast]:
     amps[:, 0b00] = np.sqrt(squares)
     amps[:, 0b11] = np.sqrt(1.0 - squares)
     state = StateVector((_D(1), _D(2)), amps)
-    state = clone_qubit(state, CloneAssignment(_D(1), _D(4), _M("A", 1)))
-    state = clone_qubit(state, CloneAssignment(_D(2), _D(5), _M("B", 1)))
+    for assignment in ROUND_ONE_ASSIGNMENTS[:2]:
+        state = clone_qubit(state, assignment)
 
     names = [
         f"pair {key} at alpha_sq={alpha_sq!r}" for alpha_sq in alpha_sqs for key in _BROADCAST_KEYS
@@ -426,20 +422,16 @@ def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, xtol: float) -> fl
     return 0.5 * (lo + hi)
 
 
-# Each bisection runs on one half of (0, 1), cut 1e-6 short of the domain's end.
+# Each bisection runs on one half of (0, 1), cut 1e-6 short of the domain's
+# end, and stops at this width.
 _BRACKET_EDGE = 1e-6
-_BRACKET_WIDTH = 0.5 - _BRACKET_EDGE
+_BISECTION_WIDTH = 1e-9
 
 
-def locate_broadcast_interval(xtol: float = 1e-9) -> tuple[float, float]:
+def locate_broadcast_interval() -> tuple[float, float]:
     """Endpoints in alpha^2 between which the non-local pair is entangled.
-
-    ``xtol`` must be positive and narrower than a bracket; a wider one would
-    return the bracket midpoints without bisecting."""
-    if not 0.0 < xtol < _BRACKET_WIDTH:  # NaN fails too
-        raise ValueError(
-            f"xtol must be positive and below the bracket width {_BRACKET_WIDTH!r}, got {xtol!r}"
-        )
+    Each is bisected to the fixed width ``_BISECTION_WIDTH`` (1e-9), or to
+    adjacent floats if those come first."""
 
     def f(a2: float) -> float:
         return two_qubit_broadcast(a2).nonlocal_verdict.min_pt_eigenvalue
@@ -448,6 +440,6 @@ def locate_broadcast_interval(xtol: float = 1e-9) -> tuple[float, float]:
     f_center = f(center)
     if f_center >= 0.0:
         raise InvariantViolation("expected entanglement at alpha^2 = 1/2")
-    lower = _bisect_sign_change(f, _BRACKET_EDGE, center, f(_BRACKET_EDGE), xtol)
-    upper = _bisect_sign_change(f, center, 1.0 - _BRACKET_EDGE, f_center, xtol)
+    lower = _bisect_sign_change(f, _BRACKET_EDGE, center, f(_BRACKET_EDGE), _BISECTION_WIDTH)
+    upper = _bisect_sign_change(f, center, 1.0 - _BRACKET_EDGE, f_center, _BISECTION_WIDTH)
     return lower, upper

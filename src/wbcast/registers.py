@@ -4,8 +4,9 @@ A register is an ordered tuple of distinct wire labels.  Amplitudes are stored
 flat, with the first listed label as the most significant bit, so a basis
 string written in register order maps directly onto an array index.  Canonical
 storage order is ascending data label with machine wires last; any other
-printed ordering is a view produced by ``permuted``/``reordered``, never a
-second storage format.  All values are immutable after construction.
+printed ordering is a view produced by ``permuted``, never a second storage
+format.  A single state runs through the same wire plans as a stack of one.
+All values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -85,9 +86,6 @@ class QubitLabel:
             return (1, self.round_no, self.party)
         return (0, self.index, "")
 
-    def __lt__(self, other: "QubitLabel") -> bool:
-        return self.sort_key < other.sort_key
-
     def __str__(self) -> str:
         return self.name
 
@@ -108,11 +106,11 @@ class StateVector:
     """Pure state of a labeled register, stored as a flat amplitude array.
 
     ``amps`` has shape ``(2**n,)``, or ``(k, 2**n)`` for a stack of k states
-    on the same wires.  ``tensor``, ``apply_to_targets``,
-    ``partial_trace_stack``, ``partial_traces`` and ``measure_machines`` keep
-    that leading batch axis in front; the per-state readers (``norm``,
-    ``permuted``, ``amplitude``, ``partial_trace``) take a single state and
-    reject a stack by name.
+    on the same wires.  ``apply_to_targets``, ``partial_trace_stack``,
+    ``partial_traces`` and ``measure_machines`` keep that leading batch axis
+    in front, and run a single state as the stack of one.  The per-state
+    readers (``permuted``, ``amplitude``, ``partial_trace``) take a single
+    state and reject a stack by name.
     """
 
     labels: tuple[QubitLabel, ...]
@@ -153,17 +151,6 @@ class StateVector:
         if self.amps.ndim != 1:
             raise ValueError(f"{reader} takes a single state, not a stack of {len(self.amps)}")
 
-    def norm(self) -> float:
-        if self.amps.ndim != 1:
-            raise ValueError("a stack of states has no single norm")
-        return float(np.linalg.norm(self.amps))
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n < ATOL_ALGEBRA:
-            raise ValueError("cannot normalize a zero state")
-        return StateVector(self.labels, self.amps / n)
-
     def axis(self, label: QubitLabel) -> int:
         try:
             return self.labels.index(label)
@@ -171,8 +158,9 @@ class StateVector:
             raise ValueError(f"label {label} not in register {self._names(self.labels)}") from None
 
     def tensor(self) -> np.ndarray:
-        """Amplitudes with one axis per wire, after any batch axis."""
-        return self.amps.reshape(self.amps.shape[:-1] + (2,) * self.n_qubits)
+        """Amplitudes as a stack with one axis per wire after the batch axis;
+        a single state is the stack of one."""
+        return self.amps.reshape((-1,) + (2,) * self.n_qubits)
 
     def permuted(self, order: Sequence[QubitLabel]) -> "StateVector":
         """View of the same state with wires listed in a different order."""
@@ -181,7 +169,7 @@ class StateVector:
         if set(order) != set(self.labels) or len(order) != len(self.labels):
             raise ValueError("permutation must list exactly the register labels")
         perm = [self.labels.index(l) for l in order]
-        return StateVector(order, self.tensor().transpose(perm).reshape(-1))
+        return StateVector(order, self.tensor()[0].transpose(perm).reshape(-1))
 
     def amplitude(self, bits: str, order: Sequence[QubitLabel] | None = None) -> complex:
         """Amplitude of |bits>, read in the given label order (default: storage order)."""
@@ -223,7 +211,6 @@ class Operator:
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -288,25 +275,17 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.real(np.trace(self.rho @ self.rho)))
 
-    def reordered(self, order: Sequence[QubitLabel]) -> "DensityMatrix":
-        """View of the same state with wires listed in a different order."""
-        order = tuple(order)
-        if set(order) != set(self.labels) or len(order) != len(self.labels):
-            raise ValueError("permutation must list exactly the register labels")
-        n = self.n_qubits
-        perm = [self.labels.index(l) for l in order]
-        t = self.rho.reshape((2,) * (2 * n))
-        t = t.transpose(perm + [p + n for p in perm])
-        return DensityMatrix(order, t.reshape(2 ** n, 2 ** n))
-
-    def element(
-        self, bra: str, ket: str, order: Sequence[QubitLabel] | None = None
-    ) -> complex:
-        """Matrix element <bra|rho|ket> with bit strings read in the given order."""
-        view = self if order is None else self.reordered(order)
-        if len(bra) != view.n_qubits or len(ket) != view.n_qubits:
+    def element(self, bra: str, ket: str) -> complex:
+        """Matrix element <bra|rho|ket> with bit strings read in storage order."""
+        if len(bra) != self.n_qubits or len(ket) != self.n_qubits:
             raise ValueError("bit string length does not match register size")
-        return complex(view.rho[int(bra, 2) if bra else 0, int(ket, 2) if ket else 0])
+        return complex(self.rho[int(bra, 2) if bra else 0, int(ket, 2) if ket else 0])
+
+
+def require_names(names: Sequence[str] | None, k: int, reader: str) -> None:
+    """Refuse ``names`` unless it names each member of a stack of k."""
+    if names is None or len(names) != k:
+        raise ValueError(f"{reader} takes one name per member of a stack of {k}")
 
 
 def check_density_stack(rhos: np.ndarray, names: Sequence[str]) -> np.ndarray:
@@ -317,6 +296,7 @@ def check_density_stack(rhos: np.ndarray, names: Sequence[str]) -> np.ndarray:
     with the size of its deviation.  Every check is written so that NaN
     fails it.
     """
+    require_names(names, len(rhos), "check_density_stack")
     herm_dev = np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2)), axis=(-2, -1))
     for i in np.flatnonzero(~(herm_dev <= ATOL_ALGEBRA)):
         raise InvariantViolation(
@@ -343,12 +323,10 @@ def _apply_plan(
     fresh: tuple[QubitLabel, ...],
     n_in: int,
     n_out: int,
-    batch: int,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[QubitLabel, ...]]:
     """Label checks, target axes, transpose order and result labels of one
-    operator application to a state with ``batch`` (0 or 1) leading batch
-    axes.  They depend on the label tuples only; a failing plan raises and
-    is therefore never cached."""
+    operator application to a stack of states.  They depend on the label
+    tuples only; a failing plan raises and is therefore never cached."""
     if len(set(targets)) != len(targets):
         raise ValueError("duplicate target labels")
     for t in targets:
@@ -369,14 +347,12 @@ def _apply_plan(
             raise ValueError(f"fresh output label {l} already in register")
 
     spectators = tuple(l for l in labels if l not in targets)
-    target_axes = tuple(batch + labels.index(t) for t in targets)
+    target_axes = tuple(1 + labels.index(t) for t in targets)
     labels_after = targets + fresh + spectators
     perm = sorted(range(len(labels_after)), key=lambda i: labels_after[i].sort_key)
-    # tensordot yields the operator's n_out output axes, then the state's
-    # untouched axes: the batch axis, if any, before the spectators.
-    order = tuple(range(n_out, n_out + batch)) + tuple(
-        i if i < n_out else i + batch for i in perm
-    )
+    # tensordot yields the operator's n_out output axes, then the stack's
+    # untouched axes: the batch axis before the spectators.
+    order = (n_out,) + tuple(i if i < n_out else i + 1 for i in perm)
     return target_axes, order, tuple(labels_after[i] for i in perm)
 
 
@@ -397,7 +373,7 @@ def apply_to_targets(
     """
     n_in, n_out = op.n_in, op.n_out
     target_axes, order, new_labels = _apply_plan(
-        state.labels, tuple(targets), tuple(fresh), n_in, n_out, state.amps.ndim - 1
+        state.labels, tuple(targets), tuple(fresh), n_in, n_out
     )
     m = op.matrix.reshape((2,) * (n_out + n_in))
     out = np.tensordot(m, state.tensor(), axes=(list(range(n_out, n_out + n_in)), target_axes))
@@ -410,11 +386,11 @@ def apply_to_targets(
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _trace_plan(
-    labels: tuple[QubitLabel, ...], keep: frozenset[QubitLabel], batch: int
+    labels: tuple[QubitLabel, ...], keep: frozenset[QubitLabel]
 ) -> tuple[tuple[QubitLabel, ...], tuple[int, ...]]:
-    """Kept labels in canonical order, and the axis order that puts the
-    ``batch`` (0 or 1) leading batch axes first, then the kept axes (in that
-    order), then the traced ones."""
+    """Kept labels in canonical order, and the axis order of a stack that
+    puts the batch axis first, then the kept axes (in that order), then the
+    traced ones."""
     if not keep:
         raise ValueError("must keep at least one qubit")
     for l in keep:
@@ -423,22 +399,26 @@ def _trace_plan(
     kept = canonical_order(keep)
     kept_axes = tuple(labels.index(l) for l in kept)
     traced_axes = tuple(i for i in range(len(labels)) if labels[i] not in keep)
-    return kept, tuple(range(batch)) + tuple(batch + i for i in kept_axes + traced_axes)
+    return kept, (0,) + tuple(1 + i for i in kept_axes + traced_axes)
 
 
-def _reduced_matrix(state: StateVector, axes: tuple[int, ...], k: int) -> np.ndarray:
-    """Symmetrised reduced matrix over the first k wire axes of the given
-    order, one per state of a stack."""
-    m = state.tensor().transpose(axes).reshape(state.amps.shape[:-1] + (2 ** k, -1))
+def _reduced_matrices(
+    state: StateVector, keep: Iterable[QubitLabel]
+) -> tuple[tuple[QubitLabel, ...], np.ndarray]:
+    """Kept labels in canonical order, and the symmetrised reduced matrix
+    over them of each state of the stack (shape (k, d, d))."""
+    kept, axes = _trace_plan(state.labels, frozenset(keep))
+    stack = state.tensor()
+    m = stack.transpose(axes).reshape(len(stack), 2 ** len(kept), -1)
     rho = m @ m.conj().swapaxes(-1, -2)
-    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    return kept, 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def partial_trace(state: StateVector, keep: Iterable[QubitLabel]) -> DensityMatrix:
     """Reduced density matrix over the kept wires, labels in canonical order."""
     state._require_single("partial_trace")
-    kept, axes = _trace_plan(state.labels, frozenset(keep), 0)
-    return DensityMatrix(kept, _reduced_matrix(state, axes, len(kept)))
+    kept, rhos = _reduced_matrices(state, keep)
+    return DensityMatrix(kept, rhos[0])
 
 
 def partial_traces(
@@ -448,8 +428,7 @@ def partial_traces(
     stack (``names[i]`` naming member i); each state keeps its spectrum."""
     if state.amps.ndim != 2:
         raise ValueError("partial_traces takes a stack of states")
-    kept, axes = _trace_plan(state.labels, frozenset(keep), 1)
-    return DensityMatrix.stack(kept, _reduced_matrix(state, axes, len(kept)), names)
+    return DensityMatrix.stack(*_reduced_matrices(state, keep), names)
 
 
 def partial_trace_stack(
@@ -462,21 +441,15 @@ def partial_trace_stack(
     member i*K + j is kept set j of state i.  ``names`` labels each member
     in error messages.
     """
-    batch = state.amps.ndim - 1
-    rhos = []
-    for keep in keeps:
-        kept, axes = _trace_plan(state.labels, frozenset(keep), batch)
-        rhos.append(_reduced_matrix(state, axes, len(kept)))
+    rhos = [_reduced_matrices(state, keep)[1] for keep in keeps]
     d = rhos[0].shape[-1]
     stack = np.stack(rhos, axis=-3).reshape(-1, d, d)
     check_density_stack(stack, names)
     return stack
 
 
-def partial_transpose_stack(rhos: np.ndarray, wire: int = 1) -> np.ndarray:
+def partial_transpose_stack(rhos: np.ndarray) -> np.ndarray:
     """Partial transposes of a stack of two-qubit matrices (shape (k, 4, 4))
-    over storage wire 0 or 1."""
-    t = rhos.reshape(-1, 2, 2, 2, 2)
-    out = t.transpose(0, 1, 4, 3, 2) if wire == 1 else t.transpose(0, 3, 2, 1, 4)
-    return out.reshape(-1, 4, 4)
+    over the second storage wire."""
+    return rhos.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
 

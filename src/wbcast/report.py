@@ -100,15 +100,13 @@ class RunRequest:
                 # Draft-7's "integer" also admits 2.0, which range() and numpy's seeding reject.
                 if name in _INTEGER_FIELDS and value is not None and type(value) is not int:
                     raise ValueError(f"{name} must be an int, got {value!r}")
+                # The schema sees only a branch's string, which a str has too.
+                if name in ("branch1", "branch2") and not isinstance(value, MachineBranch | None):
+                    raise ValueError(f"{name} must be a MachineBranch, got {value!r}")
             _REQUEST.check(_request_block(self))
         except SchemaFailure as failure:
             failure.path.append("request")
             raise ValueError(str(failure)) from None
-
-
-def round15(x: float) -> float:
-    """Round to 15 significant digits, the serialization precision."""
-    return float(format(float(x), ".15g"))
 
 
 def format15(x: float) -> str:
@@ -130,7 +128,7 @@ def _rounded(names: Iterable[str], values: Sequence[float]) -> list[float]:
     if not all(map(math.isfinite, values)):
         key, value = next((k, v) for k, v in zip(names, values) if not math.isfinite(v))
         raise InvariantViolation(f"report field {key!r} is not finite ({value})")
-    return [float(format(v, ".15g")) for v in values]  # round15's rule
+    return [float(format(v, ".15g")) for v in values]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .registers import (
     DensityMatrix,
     InvariantViolation,
     partial_transpose_stack,
+    require_names,
 )
 
 SEPARABLE = "SEPARABLE"
@@ -65,6 +66,7 @@ def ppt_verdicts(rhos: np.ndarray, names: Sequence[str]) -> list[PairVerdict]:
     stack checked as Hermitian is Hermitian to the same tolerance and is
     not checked again.
     """
+    require_names(names, len(rhos), "ppt_verdicts")
     pts = partial_transpose_stack(rhos)
     eigs = np.linalg.eigvalsh(pts)
     w3, w4 = _w_stack(pts, names)

@@ -147,7 +147,7 @@ class TestMeasureMachines:
         post, prob = measure_machines(full, MachineBranch.from_string("UUU"), self.MACHINES)
         assert prob == pytest.approx(4 / 27, abs=1e-12)
         assert post.labels == (D(1), D(2), D(3), D(4), D(5), D(6))
-        assert abs(post.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(post.amps) - 1.0) < 1e-12
 
     def test_probabilities_match_bruteforce(self):
         rng = np.random.default_rng(44)
@@ -227,6 +227,15 @@ class TestMeasureMachines:
             measure_machines(StateVector(stack.labels, nan), branches, self.MACHINES, names)
         with pytest.raises(ValueError, match="2 branches given for a stack of 3"):
             measure_machines(stack, branches[:2], self.MACHINES)
+
+    @pytest.mark.parametrize("names", [["run a"], ["run a", "run b", "run c", "run d"]])
+    def test_stack_without_one_name_per_member_is_refused(self, names):
+        # Member c fails; without a name for it the failure could not be reported.
+        labels = (D(1), *self.MACHINES)
+        stack = StateVector(labels, np.stack([StateVector.basis(labels, "0000").amps] * 3))
+        branches = [MachineBranch.from_string(b) for b in ("UUU", "UUU", "UUD")]
+        with pytest.raises(ValueError, match="measure_machines takes one name per member"):
+            measure_machines(stack, branches, self.MACHINES, names)
 
     def test_requires_three_distinct_machines(self):
         s = StateVector.basis((D(1), *self.MACHINES), "0000")

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
+
 import wbcast
+from wbcast import cloner, protocol, registers, report
+from wbcast.registers import DensityMatrix, QubitLabel, StateVector
 
 # Names dropped from the package because no report, verdict or CLI mode used
 # them; they must not come back as public exports by accident.
@@ -36,3 +40,31 @@ def test_removed_names_not_exported():
     for name in REMOVED_NAMES:
         assert name not in wbcast.__all__
         assert not hasattr(wbcast, name)
+
+
+# Members and settings dropped because no report, verdict or CLI mode reached
+# them, only tests: each must stay gone.
+REMOVED_MEMBERS = (
+    (StateVector, "norm"),
+    (StateVector, "normalized"),
+    (DensityMatrix, "reordered"),
+    (registers, "PAULI_Z"),
+    (report, "round15"),
+)
+
+
+def test_removed_members_stay_gone():
+    for owner, name in REMOVED_MEMBERS:
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    # canonical_order sorts by sort_key; wires define no order of their own.
+    assert "__lt__" not in vars(QubitLabel)
+    assert "__str__" not in vars(cloner.MachineOutcome)
+
+
+def test_no_setting_that_only_tests_reach():
+    def params(function):
+        return list(inspect.signature(function).parameters)
+
+    assert params(protocol.locate_broadcast_interval) == []
+    assert params(registers.partial_transpose_stack) == ["rhos"]
+    assert params(DensityMatrix.element) == ["self", "bra", "ket"]

@@ -21,13 +21,13 @@ from wbcast.registers import InvariantViolation
 from wbcast.report import (
     RUNNERS,
     RunRequest,
+    _rounded,
     fraction_note,
     format15,
     render,
     render_csv,
     render_json,
     render_text,
-    round15,
     run_background,
     run_branches,
     run_single,
@@ -91,8 +91,8 @@ class TestNumericFormatting:
     def test_round15_fixes_serialization_precision(self):
         x = 1 / 3
         assert format15(x) == "0.333333333333333"
-        assert round15(x) == float("0.333333333333333")
-        assert round15(round15(x)) == round15(x)
+        assert _rounded(["x"], [x]) == [float("0.333333333333333")]
+        assert _rounded(["x"], _rounded(["x"], [x])) == _rounded(["x"], [x])
 
     def test_fraction_notes(self):
         assert fraction_note(4 / 27) == "4/27"

@@ -46,6 +46,14 @@ BACKGROUND_REQUEST = dict(mode="background", grid=100)
 # Each refused request and the error it must raise.
 REFUSED = {
     "sweep with branch1": ({**SWEEP_REQUEST, "branch1": DDD}, "mode 'sweep' takes no branch1"),
+    "string branch": (
+        {"mode": "single", "params": UNIFORM, "branch1": "DDD", "branch2": UUU},
+        "branch1 must be a MachineBranch, got 'DDD'",
+    ),
+    "string branch2": (
+        {"mode": "single", "params": UNIFORM, "branch1": DDD, "branch2": "UUU"},
+        "branch2 must be a MachineBranch, got 'UUU'",
+    ),
     "background with params": ({**BACKGROUND_REQUEST, "params": UNIFORM}, "takes no alpha"),
     "background with seed": ({**BACKGROUND_REQUEST, "seed": 0}, "takes no seed"),
     "background without unitaries": (

@@ -19,6 +19,7 @@ from wbcast.separability import (
     PairVerdict,
     _w_stack,
     ppt_verdict,
+    ppt_verdicts,
 )
 
 from oracles import (
@@ -184,3 +185,11 @@ class TestVerdictFields:
             _w_stack(pts, names)
         w3, w4 = _w_stack(pts[:5], names[:5])
         assert np.allclose(w3, 1 / 64) and np.allclose(w4, 1 / 256)
+
+    @pytest.mark.parametrize("names", [["m0"], ["m0", "m1", "m2", "m3"]])
+    def test_stack_without_one_name_per_member_is_refused(self, names):
+        # Member 2's W3 has an imaginary residue; it must be nameable.
+        rhos = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+        rhos[2][0, 0] += 0.1j
+        with pytest.raises(ValueError, match="ppt_verdicts takes one name per member"):
+            ppt_verdicts(rhos, names)
