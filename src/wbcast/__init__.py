@@ -13,7 +13,6 @@ from .cloner import (
     CloneAssignment,
     ImpossibleBranchError,
     MachineBranch,
-    MachineOutcome,
     bh_isometry,
     clone_qubit,
     measure_machines,
@@ -67,7 +66,6 @@ __all__ = [
     "InvariantViolation",
     "LOCAL_PAIRS",
     "MachineBranch",
-    "MachineOutcome",
     "NONLOCAL_PAIRS",
     "Operator",
     "PAPER_CLAIMS",

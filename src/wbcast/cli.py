@@ -1,9 +1,10 @@
 """Command line interface.
 
-Options are stored under their mode's ``MODE_FIELDS`` names.  Exit codes: 0
-on success, 2 for invalid input or an unwritable ``--out`` or stdout, 3 for a
-zero-probability measurement branch, 4 when an internal invariant check fails
-(a NaN or infinite report value included).
+Each mode's options are those ``OPTIONS`` lists for its ``MODE_FIELDS``,
+stored under those field names.  Exit codes: 0 on success, 2 for invalid
+input or an unwritable ``--out`` or stdout, 3 for a zero-probability
+measurement branch, 4 when an internal invariant check fails (a NaN or
+infinite report value included).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 from contextlib import nullcontext, suppress
 
-from .cloner import ImpossibleBranchError, MachineBranch
+from .cloner import BRANCH_ORDER, ImpossibleBranchError, MachineBranch
 from .protocol import WParams
 from .registers import InvariantViolation
 from .report import FORMATS, MODE_FIELDS, RUNNERS, RunRequest, render
@@ -37,24 +38,40 @@ def _branch(text: str) -> MachineBranch:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, required=True, help="amplitude of |001>")
-    parser.add_argument("--beta", type=float, required=True, help="amplitude of |010>")
-    parser.add_argument("--gamma", type=float, required=True, help="amplitude of |100>")
-
-
-def _add_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=FORMATS, default="json", dest="fmt")
-
-
-def _add_unitaries(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-unitaries",
-        action="store_false",
-        dest="apply_unitaries",
-        help="skip the local dressing stage (verdicts are unaffected)",
-    )
+# The options of each request field, in the order --help lists them; each
+# stores under its field's name, "params" being one option per amplitude.  A
+# mode gets the options of its MODE_FIELDS and those of "out" and "fmt".
+OPTIONS = {
+    "params": {
+        "--alpha": dict(type=float, required=True, help="amplitude of |001>"),
+        "--beta": dict(type=float, required=True, help="amplitude of |010>"),
+        "--gamma": dict(type=float, required=True, help="amplitude of |100>"),
+    },
+    "branch1": {"--branch1": dict(type=_branch, default=BRANCH_ORDER[0])},
+    "branch2": {"--branch2": dict(type=_branch, default=BRANCH_ORDER[0])},
+    "sweep_count": {
+        "--sweep": dict(
+            type=int, default=50, metavar="N", dest="sweep_count", help="number of draws"
+        )
+    },
+    "seed": {"--seed": dict(type=int, default=0)},
+    "apply_unitaries": {
+        "--no-unitaries": dict(
+            action="store_false",
+            dest="apply_unitaries",
+            help="skip the local dressing stage (verdicts are unaffected)",
+        )
+    },
+    "grid": {"--grid": dict(type=int, default=100, metavar="N")},
+    "out": {"--out": dict(metavar="PATH", help="write the report here instead of stdout")},
+    "fmt": {"--format": dict(choices=FORMATS, default="json", dest="fmt")},
+}
+MODE_HELP = {
+    "single": "one run on chosen measurement branches",
+    "branches": "all 64 branch combinations",
+    "sweep": "seeded random parameter draws",
+    "background": "two-qubit cloning scan over alpha^2",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,33 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-
-    single = sub.add_parser("single", help="one run on chosen measurement branches")
-    _add_params(single)
-    single.add_argument("--branch1", type=_branch, default=MachineBranch.from_string("UUU"))
-    single.add_argument("--branch2", type=_branch, default=MachineBranch.from_string("UUU"))
-    _add_unitaries(single)
-    _add_output(single)
-
-    branches = sub.add_parser("branches", help="all 64 branch combinations")
-    _add_params(branches)
-    _add_unitaries(branches)
-    _add_output(branches)
-
-    sweep = sub.add_parser("sweep", help="seeded random parameter draws")
-    sweep.add_argument(
-        "--sweep", type=int, default=50, metavar="N", dest="sweep_count", help="number of draws"
-    )
-    sweep.add_argument("--seed", type=int, default=0)
-    _add_unitaries(sweep)
-    _add_output(sweep)
-
-    background = sub.add_parser(
-        "background", help="two-qubit cloning scan over alpha^2"
-    )
-    background.add_argument("--grid", type=int, default=100, metavar="N")
-    _add_output(background)
-
+    for mode, fields in MODE_FIELDS.items():
+        mode_parser = sub.add_parser(mode, help=MODE_HELP[mode])
+        for name, options in OPTIONS.items():
+            if name in (*fields, "out", "fmt"):
+                for flag, settings in options.items():
+                    mode_parser.add_argument(flag, **settings)
     return parser
 
 

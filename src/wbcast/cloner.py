@@ -12,7 +12,6 @@ machine wires in the up/down basis selects a branch of the protocol.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -31,35 +30,28 @@ class ImpossibleBranchError(Exception):
     """Requested measurement branch has (numerically) zero probability."""
 
 
-class MachineOutcome(enum.Enum):
-    UP = "U"
-    DOWN = "D"
-
-    @property
-    def bit(self) -> int:
-        return 0 if self is MachineOutcome.UP else 1
-
-
 @dataclass(frozen=True)
 class MachineBranch:
-    """One joint outcome of the three parties' machine measurements."""
+    """One joint outcome of the three parties' machine measurements: Alice's,
+    Bob's and Charlie's letters in turn, U for up (bit 0) or D for down (bit 1)."""
 
-    alice: MachineOutcome
-    bob: MachineOutcome
-    charlie: MachineOutcome
+    letters: str
+
+    def __post_init__(self) -> None:
+        text = self.letters
+        if not (isinstance(text, str) and len(text) == 3 and set(text) <= set("UD")):
+            raise ValueError(f"bad branch {text!r}, expected three of U/D like 'UUD'")
 
     @classmethod
     def from_string(cls, text: str) -> "MachineBranch":
-        if len(text) != 3 or any(c not in "UD" for c in text):
-            raise ValueError(f"bad branch {text!r}, expected three of U/D like 'UUD'")
-        return cls(*(MachineOutcome(c) for c in text))
+        return cls(text)
 
     @property
-    def outcomes(self) -> tuple[MachineOutcome, MachineOutcome, MachineOutcome]:
-        return (self.alice, self.bob, self.charlie)
+    def bits(self) -> tuple[int, int, int]:
+        return tuple(int(c == "D") for c in self.letters)
 
     def __str__(self) -> str:
-        return "".join(o.value for o in self.outcomes)
+        return self.letters
 
 
 # Fixed enumeration order used everywhere branches are listed or reported.
@@ -120,16 +112,21 @@ def measure_machines(
     infinite one means the state itself is broken and raises
     ``InvariantViolation``.
 
-    A stack of k states takes one branch per member and returns the stack of
-    post-measurement states with an array of k probabilities; each member
+    A stack of k states takes a sequence of k branches and returns the stack
+    of post-measurement states with an array of k probabilities; each member
     is projected on its own branch and renormalized by its own probability.
-    ``names[i]``, if given, names member i in an error.  One state is
-    measured as the stack of one.
+    ``names[i]``, if given, names member i in an error.  One state takes one
+    branch and is measured as the stack of one.
     """
     machines = tuple(machines)
     if len(machines) != 3 or len(set(machines)) != 3:
         raise ValueError("exactly three distinct machine wires are required")
-    single = state.amps.ndim == 1
+    single = isinstance(branch, MachineBranch)
+    if single != (state.amps.ndim == 1):
+        raise ValueError(
+            "one state takes one MachineBranch and a stack a sequence of them, got "
+            f"{type(branch).__name__} for amplitudes of shape {state.amps.shape}"
+        )
     branches = (branch,) if single else tuple(branch)
     stack = state.tensor()
     k = len(stack)
@@ -141,8 +138,8 @@ def measure_machines(
     # Member i keeps the entries with its own branch's bits on the machine
     # axes; the batch index and the bit indices broadcast to k picks.
     index: list = [np.arange(k)] + [slice(None)] * state.n_qubits
-    for machine, outcomes in zip(machines, zip(*(b.outcomes for b in branches))):
-        index[1 + state.axis(machine)] = np.array([o.bit for o in outcomes])
+    for machine, bits in zip(machines, zip(*(b.bits for b in branches))):
+        index[1 + state.axis(machine)] = np.array(bits)
     sub = stack[tuple(index)].reshape(k, -1)
 
     probabilities = np.sum(np.abs(sub) ** 2, axis=1)

@@ -197,8 +197,11 @@ _SIGMA_Y = Operator(PAULI_Y)
 
 # Wire dressing applied after the second selection: bit flips on Alice's
 # clones, sigma_y on Bob's and Charlie's originals.  Every dressed wire is
-# traced out of the five-qubit state, so downstream verdicts do not depend on
-# whether this stage runs; it only rewrites the discarded qubits.
+# traced out of the five-qubit state, which the stage leaves unchanged, but
+# wires 2, 3, 4 and 7 sit in the reported same-party pairs.  A one-wire
+# unitary keeps a pair's partial-transpose spectrum and determinant, so each
+# pair's classification, minimum PT eigenvalue, negativity and W4 agree up to
+# rounding with the stage on or off; its W3, a minor, changes.
 _UNITARY_STAGE = (
     (_SIGMA_X, _D(4)),
     (_SIGMA_X, _D(7)),

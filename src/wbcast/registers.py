@@ -59,32 +59,16 @@ class QubitLabel:
         return self.name[0] == "M"
 
     @property
-    def is_data(self) -> bool:
-        return not self.is_machine
-
-    @property
-    def index(self) -> int:
-        if self.is_machine:
-            raise ValueError(f"{self.name} is not a data wire")
-        return int(self.name)
-
-    @property
-    def party(self) -> str:
-        if self.is_data:
-            raise ValueError(f"{self.name} is not a machine wire")
-        return self.name[1]
-
-    @property
     def round_no(self) -> int:
-        if self.is_data:
+        if not self.is_machine:
             raise ValueError(f"{self.name} is not a machine wire")
         return int(self.name[2])
 
     @property
     def sort_key(self) -> tuple:
-        if self.is_machine:
-            return (1, self.round_no, self.party)
-        return (0, self.index, "")
+        """(0, index, "") for data wire "<index>", (1, round, party) for "M<party><round>"."""
+        n = self.name
+        return (1, int(n[2]), n[1]) if self.is_machine else (0, int(n), "")
 
     def __str__(self) -> str:
         return self.name

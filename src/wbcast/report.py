@@ -72,8 +72,9 @@ _TAKEN_FIELDS = tuple(dict.fromkeys(n for names in MODE_FIELDS.values() for n in
 
 @dataclass(frozen=True)
 class RunRequest:
-    """A request: its mode's ``MODE_FIELDS`` set, every other field None, and
-    its block passing the report schema's ``request`` field; or a ValueError."""
+    """A request: its mode's ``MODE_FIELDS`` set, each of its ``_FIELD_TYPES``
+    type, every other field None, and its block passing the report schema's
+    ``request`` field; or a ValueError."""
 
     mode: str
     params: WParams | None = None
@@ -97,12 +98,10 @@ class RunRequest:
                     verb = "requires" if name in taken else "takes no"
                     words = ", ".join(_PARAM_NAMES) if name == "params" else name
                     raise ValueError(f"mode {self.mode!r} {verb} {words}")
-                # Draft-7's "integer" also admits 2.0, which range() and numpy's seeding reject.
-                if name in _INTEGER_FIELDS and value is not None and type(value) is not int:
-                    raise ValueError(f"{name} must be an int, got {value!r}")
-                # The schema sees only a branch's string, which a str has too.
-                if name in ("branch1", "branch2") and not isinstance(value, MachineBranch | None):
-                    raise ValueError(f"{name} must be a MachineBranch, got {value!r}")
+                kind = _FIELD_TYPES.get(name)
+                if kind is not None and value is not None and type(value) is not kind:
+                    article = "an" if kind is int else "a"
+                    raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
             _REQUEST.check(_request_block(self))
         except SchemaFailure as failure:
             failure.path.append("request")
@@ -225,7 +224,11 @@ _REQUEST_FIELDS = {
     "grid": typed("integer", minimum=100),
 }
 _REQUEST = closed(_REQUEST_FIELDS, ["mode", "format"])
-_INTEGER_FIELDS = {k for k, f in _REQUEST_FIELDS.items() if f.schema.get("type") == "integer"}
+# Python types the schema cannot tell: its "integer" admits 2.0, which range() and
+# numpy's seeding reject, and it sees a branch's string and params' numbers only.
+_FIELD_TYPES = {"params": WParams, "branch1": MachineBranch, "branch2": MachineBranch} | {
+    k: int for k, f in _REQUEST_FIELDS.items() if f.schema.get("type") == "integer"
+}
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ from wbcast.cloner import (
     CloneAssignment,
     ImpossibleBranchError,
     MachineBranch,
-    MachineOutcome,
     bh_isometry,
     clone_qubit,
     measure_machines,
 )
+from wbcast.protocol import WParams, branch_select, prepare_w, round_one
 from wbcast.registers import InvariantViolation, QubitLabel, StateVector, partial_trace
 
 from oracles import branch_probability, clone_block, kron_all, random_pure_state
@@ -114,9 +114,7 @@ class TestBranches:
 
     def test_from_string(self):
         b = MachineBranch.from_string("UDU")
-        assert b.alice is MachineOutcome.UP
-        assert b.bob is MachineOutcome.DOWN
-        assert b.charlie is MachineOutcome.UP
+        assert b.bits == (0, 1, 0)
         assert str(b) == "UDU"
 
     @pytest.mark.parametrize("bad", ["", "UU", "UUUU", "UUX", "uud"])
@@ -125,8 +123,8 @@ class TestBranches:
             MachineBranch.from_string(bad)
 
     def test_outcome_bits(self):
-        assert MachineOutcome.UP.bit == 0
-        assert MachineOutcome.DOWN.bit == 1
+        assert MachineBranch.from_string("UUU").bits == (0, 0, 0)
+        assert MachineBranch.from_string("DDD").bits == (1, 1, 1)
 
 
 def _three_clones(amps3):
@@ -155,8 +153,7 @@ class TestMeasureMachines:
         full = _three_clones(amps3)
         machine_pos = [full.labels.index(m) for m in self.MACHINES]
         for branch in BRANCH_ORDER:
-            bits = [o.bit for o in branch.outcomes]
-            want = branch_probability(full.amps, machine_pos, bits)
+            want = branch_probability(full.amps, machine_pos, branch.bits)
             if want < MIN_BRANCH_PROBABILITY:
                 with pytest.raises(ImpossibleBranchError):
                     measure_machines(full, branch, self.MACHINES)
@@ -236,6 +233,18 @@ class TestMeasureMachines:
         branches = [MachineBranch.from_string(b) for b in ("UUU", "UUU", "UUD")]
         with pytest.raises(ValueError, match="measure_machines takes one name per member"):
             measure_machines(stack, branches, self.MACHINES, names)
+
+    def test_branch_argument_must_match_the_state(self):
+        # One state takes one branch and a stack a sequence, as prepare_w's
+        # argument decides one state or a stack.
+        one = round_one(prepare_w(WParams.normalized(1.0, 1.0, 1.0)))
+        stack = StateVector(one.labels, np.stack([one.amps, one.amps]))
+        uuu = MachineBranch.from_string("UUU")
+        for state, branch in ((one, [uuu]), (stack, uuu)):
+            with pytest.raises(ValueError, match="one state takes one MachineBranch"):
+                measure_machines(state, branch, self.MACHINES)
+            with pytest.raises(ValueError, match="one state takes one MachineBranch"):
+                branch_select(state, branch)
 
     def test_requires_three_distinct_machines(self):
         s = StateVector.basis((D(1), *self.MACHINES), "0000")

@@ -142,8 +142,7 @@ class TestBranchSelection:
         machine_pos = [6, 7, 8]
         total = 0.0
         for branch in BRANCH_ORDER:
-            bits = [o.bit for o in branch.outcomes]
-            want = branch_probability(cloned.amps, machine_pos, bits)
+            want = branch_probability(cloned.amps, machine_pos, branch.bits)
             selected, prob = branch_select(cloned, branch)
             assert prob == pytest.approx(want, abs=1e-12)
             assert selected.labels == tuple(D(i) for i in range(1, 7))

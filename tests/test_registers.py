@@ -41,11 +41,11 @@ def _random_state(rng, labels) -> StateVector:
 
 class TestLabels:
     def test_data_and_machine_labels(self):
-        assert D(1).name == "1" and D(1).is_data
-        assert D(9).index == 9
+        assert D(1).name == "1" and not D(1).is_machine
+        assert D(9).sort_key == (0, 9, "")
         m = M("B", 2)
         assert m.name == "MB2" and m.is_machine
-        assert m.party == "B" and m.round_no == 2
+        assert m.sort_key == (1, 2, "B") and m.round_no == 2
 
     @pytest.mark.parametrize("bad", ["0", "10", "MA3", "MD1", "x", "", "M1A"])
     def test_bad_labels_rejected(self, bad):
@@ -60,9 +60,7 @@ class TestLabels:
 
     def test_wrong_kind_accessors(self):
         with pytest.raises(ValueError):
-            _ = D(3).party
-        with pytest.raises(ValueError):
-            _ = M("A", 1).index
+            _ = D(3).round_no
 
 
 class TestStateVector:

@@ -2,16 +2,19 @@
 
 ``MODE_FIELDS`` says which request fields each mode takes.  A ``RunRequest``
 that sets a field its mode does not take, leaves out one it takes, carries a
-non-int count, seed or grid, or holds a value the report schema's
+non-int count, seed or grid, params that are not a ``WParams`` or a branch
+that is not a ``MachineBranch``, or holds a value the report schema's
 ``request`` field rejects is refused with a ValueError when it is built,
-before any protocol run.  The CLI's options are stored under those field
-names; their surface is pinned here as the previous release had it.  A stdout
-that cannot be written exits 2, as an unwritable ``--out`` does.
+before any protocol run.  The CLI builds each mode's options from its
+``MODE_FIELDS`` and stores them under those field names; their surface and
+``--help`` screens are pinned here as the previous release had them.  A
+stdout that cannot be written exits 2, as an unwritable ``--out`` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -53,6 +56,10 @@ REFUSED = {
     "string branch2": (
         {"mode": "single", "params": UNIFORM, "branch1": DDD, "branch2": "UUU"},
         "branch2 must be a MachineBranch, got 'UUU'",
+    ),
+    "tuple params": (
+        {"mode": "single", "params": (1.0, 0.0, 0.0), "branch1": UUU, "branch2": UUU},
+        r"^params must be a WParams, got \(1\.0, 0\.0, 0\.0\)$",
     ),
     "background with params": ({**BACKGROUND_REQUEST, "params": UNIFORM}, "takes no alpha"),
     "background with seed": ({**BACKGROUND_REQUEST, "seed": 0}, "takes no seed"),
@@ -166,6 +173,39 @@ def test_cli_surface_is_pinned(mode):
     assert seen == SURFACE[mode]
     dests = {a.dest for a in actions} - {"help", "out", "fmt"}
     assert dests == set(_expanded(MODE_FIELDS[mode]))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_parsed_options_are_exactly_the_modes_fields(mode):
+    actions = [a for a in _subparsers()[mode]._actions if a.dest != "help"]
+    want = [*_expanded(MODE_FIELDS[mode]), "out", "fmt"]
+    assert sorted(a.dest for a in actions) == sorted(want)
+    required = [word for a in actions if a.required for word in (a.option_strings[0], "1")]
+    args = build_parser().parse_args([mode, *required])
+    assert sorted(vars(args)) == sorted(["mode", *want])
+
+
+# sha256 of each --help screen at 80 columns, "" being the top-level one.
+HELP_DIGESTS = {
+    "": "66199d485b839d1736eceabd9ca203d40780595c77a19cc539aa2352a4300df9",
+    "single": "f70f3a3bb128db17c4101f9a205d3aa6b9394870512affa0f46b1841ae43296d",
+    "branches": "e7d26aa69e33e42a9a6a01fc2662f56f4abc6cddca2b49c31171c2e68cc2cff1",
+    "sweep": "7f9014343e67d26a79f71abc82e0b9675ced85898c851ced28eb12f3bffb9819",
+    "background": "74a394e0a97fa9a8c7183585ca2329df180e5687c3c67f6024bd61acf23442b7",
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13), reason="digests of the help layout of Python 3.10-3.12"
+)
+@pytest.mark.parametrize("mode", HELP_DIGESTS, ids=lambda mode: mode or "top")
+def test_help_screen_matches_stored_digest(mode, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        build_parser().parse_args([mode, "--help"] if mode else ["--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[mode], out
 
 
 # ---------------------------------------------------------------------------
