@@ -4,7 +4,9 @@ Each mode's options are those ``OPTIONS`` lists for its ``MODE_FIELDS``,
 stored under those field names.  Exit codes: 0 on success, 2 for invalid
 input or an unwritable ``--out`` or stdout, 3 for a zero-probability
 measurement branch, 4 when an internal invariant check fails (a NaN or
-infinite report value included).
+infinite report value included).  The report is written as it is made: a
+failure after its first record leaves a partial report on stdout, while
+``--out`` is replaced only by a whole report.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
-from contextlib import nullcontext, suppress
+import tempfile
+from contextlib import contextmanager, nullcontext, suppress
 
 from .cloner import BRANCH_ORDER, ImpossibleBranchError, MachineBranch
 from .protocol import WParams
@@ -113,10 +117,46 @@ def _request_from_args(args: argparse.Namespace) -> RunRequest:
     return RunRequest(mode=args.mode, fmt=args.fmt, **fields)
 
 
+@contextmanager
+def _replacing(path: str):
+    """A text file that replaces ``path`` once the block ends without error.
+
+    Until then it is a temporary file beside the target, removed on any
+    error, so a failed run leaves neither a partial report nor the
+    temporary file, and an existing file stays untouched.  The report gets
+    the mode that ``open(path, "w")`` would give it: an existing file's
+    own, or 0o666 less the umask.  A target that exists but is no regular
+    file (``/dev/null``, a pipe) is written in place.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", encoding="utf-8", newline="") as file:
+            yield file
+        return
+    if os.path.exists(target):
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    else:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    directory, name = os.path.split(target)
+    fd, temporary = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    try:
+        os.fchmod(fd, mode)
+        with open(fd, "w", encoding="utf-8", newline="") as file:
+            yield file
+        os.replace(temporary, target)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temporary)
+        raise
+
+
 def _sink(path: str | None):
-    """The ``--out`` file, or stdout as it is now (a closed fd 1 fails here)."""
+    """The ``--out`` file, replaced on success, or stdout as it is now (a
+    closed fd 1 fails here)."""
     if path:
-        return open(path, "w", encoding="utf-8", newline="")
+        return _replacing(path)
     return nullcontext(sys.stdout or open(1, "w", closefd=False))
 
 
@@ -128,21 +168,22 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wbcast: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
+    # The runner makes and checks the first record before anything is
+    # written; each later part is checked as it is written, so a failure
+    # there leaves a partial report on stdout and none at --out.
     try:
-        report = RUNNERS[request.mode](request)
+        stream = RUNNERS[request.mode](request)
+        with _sink(args.out) as sink:
+            try:
+                render(stream, request.fmt, sink.write)
+            finally:
+                sink.flush()
     except ImpossibleBranchError as exc:
         print(f"wbcast: {exc}", file=sys.stderr)
         return EXIT_IMPOSSIBLE_BRANCH
     except InvariantViolation as exc:
         print(f"wbcast: {exc}", file=sys.stderr)
         return EXIT_INVARIANT_VIOLATION
-
-    # The report is checked and every value finite, so only the write can
-    # fail; its text is written as it is made and never held whole.
-    try:
-        with _sink(args.out) as sink:
-            render(report, request.fmt, sink.write)
-            sink.flush()
     except OSError as exc:
         print(f"wbcast: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
         if not args.out:  # stdout keeps unwritten bytes and would fail again at exit

@@ -98,6 +98,46 @@ def clone_qubit(state: StateVector, assignment: CloneAssignment) -> StateVector:
     return apply_to_targets(state, bh_isometry(), (a.source,), (a.clone, a.machine))
 
 
+def project_machines(
+    state: StateVector, machines: Sequence[QubitLabel], bits: Sequence[Sequence[int]]
+) -> StateVector:
+    """Keep, of member i of a stack, the entries with bit ``bits[j][i]`` on
+    ``machines[j]``, and drop those wires.  The stack that remains is not
+    renormalized: each entry is copied, never recomputed."""
+    stack = state.tensor()
+    k = len(stack)
+    # The batch index and the bit indices broadcast to k picks.
+    index: list = [np.arange(k)] + [slice(None)] * state.n_qubits
+    for machine, column in zip(machines, bits):
+        index[1 + state.axis(machine)] = np.asarray(column)
+    remaining = tuple(l for l in state.labels if l not in machines)
+    return StateVector(remaining, stack[tuple(index)].reshape(k, -1))
+
+
+def renormalize_branches(
+    state: StateVector,
+    branches: Sequence[MachineBranch],
+    names: Sequence[str] | None = None,
+) -> tuple[StateVector, np.ndarray]:
+    """A projected stack renormalized member by member, with the array of its
+    branch probabilities (the squared norms before renormalization).
+
+    A probability below ``MIN_BRANCH_PROBABILITY``, read at call time, raises
+    ``ImpossibleBranchError``; a NaN or infinite one means the state itself
+    is broken and raises ``InvariantViolation``.  Each names its member's
+    branch, and ``names[i]``, if given, too.
+    """
+    probabilities = np.sum(np.abs(state.amps) ** 2, axis=1)
+    for failure, bad in (
+        (InvariantViolation, ~np.isfinite(probabilities)),
+        (ImpossibleBranchError, ~(probabilities >= MIN_BRANCH_PROBABILITY)),
+    ):
+        for i in np.flatnonzero(bad):
+            where = "" if names is None else f" of {names[i]}"
+            raise failure(f"branch {branches[i]}{where} has probability {probabilities[i]:.3e}")
+    return StateVector(state.labels, state.amps / np.sqrt(probabilities)[:, None]), probabilities
+
+
 def measure_machines(
     state: StateVector,
     branch: MachineBranch | Sequence[MachineBranch],
@@ -107,10 +147,8 @@ def measure_machines(
     """Project the three machine wires onto a branch and drop them.
 
     Returns the renormalized post-measurement state and the branch probability
-    (the squared projection norm before renormalization).  A probability below
-    ``MIN_BRANCH_PROBABILITY`` raises ``ImpossibleBranchError``; a NaN or
-    infinite one means the state itself is broken and raises
-    ``InvariantViolation``.
+    (the squared projection norm before renormalization), failing as
+    ``renormalize_branches`` does.
 
     A stack of k states takes a sequence of k branches and returns the stack
     of post-measurement states with an array of k probabilities; each member
@@ -128,30 +166,14 @@ def measure_machines(
             f"{type(branch).__name__} for amplitudes of shape {state.amps.shape}"
         )
     branches = (branch,) if single else tuple(branch)
-    stack = state.tensor()
-    k = len(stack)
+    k = len(state.tensor())
     if len(branches) != k:
         raise ValueError(f"{len(branches)} branches given for a stack of {k} states")
     if names is not None:
         require_names(names, k, "measure_machines")
 
-    # Member i keeps the entries with its own branch's bits on the machine
-    # axes; the batch index and the bit indices broadcast to k picks.
-    index: list = [np.arange(k)] + [slice(None)] * state.n_qubits
-    for machine, bits in zip(machines, zip(*(b.bits for b in branches))):
-        index[1 + state.axis(machine)] = np.array(bits)
-    sub = stack[tuple(index)].reshape(k, -1)
-
-    probabilities = np.sum(np.abs(sub) ** 2, axis=1)
-    for failure, bad in (
-        (InvariantViolation, ~np.isfinite(probabilities)),
-        (ImpossibleBranchError, ~(probabilities >= MIN_BRANCH_PROBABILITY)),
-    ):
-        for i in np.flatnonzero(bad):
-            where = "" if names is None else f" of {names[i]}"
-            raise failure(f"branch {branches[i]}{where} has probability {probabilities[i]:.3e}")
-    post = sub / np.sqrt(probabilities)[:, None]
-    remaining = tuple(l for l in state.labels if l not in machines)
+    projected = project_machines(state, machines, list(zip(*(b.bits for b in branches))))
+    post, probabilities = renormalize_branches(projected, branches, names)
     if single:
-        return StateVector(remaining, post[0]), float(probabilities[0])
-    return StateVector(remaining, post), probabilities
+        return StateVector(post.labels, post.amps[0]), float(probabilities[0])
+    return post, probabilities

@@ -23,6 +23,8 @@ from .cloner import (
     MachineBranch,
     clone_qubit,
     measure_machines,
+    project_machines,
+    renormalize_branches,
 )
 from .registers import (
     PAULI_X,
@@ -56,8 +58,11 @@ ROUND_TWO_ASSIGNMENTS = (
     CloneAssignment(_D(6), _D(9), _M("C", 2)),
 )
 
-# Pair tables, in report order.  The first five span two parties (the
-# broadcast payload), the last six live inside a single party's lab.
+# Pair tables, in report order.  The first five are the pairs the paper
+# calls non-local and claims entangled: by the clone assignments (1,5), (1,6)
+# and (8,6) span two labs, while (5,8) lies in Bob's lab and (6,9) in
+# Charlie's.  The last six live inside a single party's lab and are claimed
+# separable.
 NONLOCAL_PAIRS = ((1, 5), (5, 8), (1, 6), (6, 9), (8, 6))
 LOCAL_PAIRS = ((1, 7), (1, 4), (2, 5), (2, 8), (3, 6), (3, 9))
 ALL_PAIRS = NONLOCAL_PAIRS + LOCAL_PAIRS
@@ -265,8 +270,8 @@ def pair_verdicts(
 
 def broadcast_verdict(pairs: Mapping[str, PairVerdict]) -> bool:
     """True when every pair's classification is the paper's claim for it
-    (cross-party pairs entangled, in-lab pairs separable), the stated
-    success condition for the broadcast."""
+    (the five pairs it calls non-local entangled, the six local ones
+    separable), the stated success condition for the broadcast."""
     missing = [key for key in PAPER_CLAIMS if key not in pairs]
     if missing:
         raise ValueError(f"missing pair verdicts: {', '.join(missing)}")
@@ -274,8 +279,9 @@ def broadcast_verdict(pairs: Mapping[str, PairVerdict]) -> bool:
 
 
 # Runs carried through the pipeline per stack.  A member peaks at about
-# 210 KiB (the twelve-qubit register of round two is 64 KiB per array), so
-# the stack size bounds the memory of a run list of any length.
+# 53 KiB (0.41 MiB per stack of 8 under tracemalloc; the largest register,
+# ten wires right after a clone, is 16 KiB per array), so the stack size
+# bounds the memory of a run list of any length.
 PROTOCOL_STACK_RUNS = 8
 
 
@@ -291,13 +297,16 @@ def run_protocols(configs: Sequence[ProtocolConfig]) -> Iterator[Transcript]:
     """``run_protocol`` of every config, in order.
 
     The configs are checked first: all must share ``apply_unitaries``.  The
-    runs then go through the stage functions in stacks of
-    ``PROTOCOL_STACK_RUNS``, each member on its own params and branches, and
-    are yielded one stack at a time, so a caller that keeps only what it
-    needs holds one stack of transcripts at most.  Per stack, the five-qubit
-    states are checked as one stack and the eleven pairs of every member as
-    another.  Each amplitude is one product whatever the stack size, so every
-    transcript equals the one-run pipeline bit for bit.
+    runs then go through the pipeline in stacks of ``PROTOCOL_STACK_RUNS``,
+    each member on its own params and branches, and are yielded one stack at
+    a time, so a caller that keeps only what it needs holds one stack of
+    transcripts at most.  Each party's machine is measured as soon as it is
+    cloned (``_clone_and_select``), so no register holds more than one
+    machine wire.  Per stack, the five-qubit states are checked as one stack
+    and the eleven pairs of every member as another.  Each amplitude is one
+    product whatever the stack size and whenever its machine is measured, so
+    every transcript equals the stages ``round_one``, ``branch_select``,
+    ``round_two``, ``branch_select`` bit for bit.
     """
     configs = list(configs)
     if len({config.apply_unitaries for config in configs}) > 1:
@@ -309,11 +318,28 @@ def run_protocols(configs: Sequence[ProtocolConfig]) -> Iterator[Transcript]:
     return itertools.chain.from_iterable(map(_protocol_stack, stacks))
 
 
+def _clone_and_select(
+    state: StateVector,
+    assignments: Sequence[CloneAssignment],
+    branches: Sequence[MachineBranch],
+    names: Sequence[str],
+) -> tuple[StateVector, np.ndarray]:
+    """One cloning round of a stack, each party's machine measured right
+    after its clone: member i keeps the bit its branch gives that party.
+    The round is renormalized once, as ``branch_select`` renormalizes it."""
+    for party, assignment in enumerate(assignments):
+        bits = [branch.bits[party] for branch in branches]
+        state = project_machines(clone_qubit(state, assignment), (assignment.machine,), [bits])
+    return renormalize_branches(state, branches, names)
+
+
 def _protocol_stack(configs: Sequence[ProtocolConfig]) -> list[Transcript]:
     names = [_run_name(config) for config in configs]
     w = prepare_w([config.params for config in configs])
-    selected1, p1 = branch_select(round_one(w), [c.branch1 for c in configs], names)
-    selected2, p2 = branch_select(round_two(selected1), [c.branch2 for c in configs], names)
+    branch1 = [config.branch1 for config in configs]
+    selected1, p1 = _clone_and_select(w, ROUND_ONE_ASSIGNMENTS, branch1, names)
+    branch2 = [config.branch2 for config in configs]
+    selected2, p2 = _clone_and_select(selected1, ROUND_TWO_ASSIGNMENTS, branch2, names)
     final = apply_local_unitaries(selected2) if configs[0].apply_unitaries else selected2
 
     fives = five_qubit_state(final, names)

@@ -1,11 +1,19 @@
 """Report assembly, serialization and schema validation.
 
-Reports are plain JSON-compatible dictionaries.  Every float is rounded to 15
-significant digits where its record is built, in one pass per record's float
-list, so identical requests (and identical seeds) produce byte-identical
-output in every format; a NaN or infinity is an invariant failure naming its
-key.  Probabilities that sit within 1e-12 of a small rational p/q
-(q <= 1000) get a fraction annotation alongside the numeric value.
+A report is made as a ``ReportStream``: its header, then each record as
+soon as its protocol stack finishes, then its summary, tallied as the
+records pass.  Each part is checked as it passes, the first record before
+any output, and the renderers write each part as it arrives, so memory does
+not grow with the number of runs.  ``collect`` reads a stream into the whole
+report, a plain JSON-compatible dictionary, which ``validate_report`` checks
+with the same per-part checks.
+
+Every float is rounded to 15 significant digits where its record is built,
+in one pass per record's float list, so identical requests (and identical
+seeds) produce byte-identical output in every format; a NaN or infinity is
+an invariant failure naming its key.  Probabilities that sit within 1e-12
+of a small rational p/q (q <= 1000) get a fraction annotation alongside the
+numeric value.
 
 JSON is written as ``json.dumps(report, indent=2)`` would write it, but only
 the nested levels are walked in Python: each container without nested
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import copy
 import csv
-import io
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +34,8 @@ from functools import lru_cache
 from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +45,7 @@ from .protocol import (
     ALL_PAIRS,
     LOCAL_PAIRS,
     PAPER_CLAIMS,
+    PROTOCOL_STACK_RUNS,
     ProtocolConfig,
     Transcript,
     WParams,
@@ -309,90 +319,124 @@ def _run_record(index: int, transcript: Transcript) -> dict:
     return record
 
 
-def _summary_block(records: list[dict]) -> dict:
+@dataclass(frozen=True)
+class ReportStream:
+    """A report as it is made, checked part by part.
+
+    ``header`` holds the version, the schema version and the request.
+    ``runs`` yields each record once it is made and has passed its check.
+    The first record was made, and checked, when the stream was, so a
+    failure there comes before any output.  ``summary()`` gives the checked
+    summary once ``runs`` is spent; a background summary is ready at once,
+    because every background csv row repeats its interval.
+    """
+
+    header: dict
+    runs: Iterator[dict]
+    summary: Callable[[], dict]
+
+    @classmethod
+    def of(cls, report: dict) -> "ReportStream":
+        """A whole report as a stream, unchecked."""
+        header = {key: value for key, value in report.items() if key not in ("runs", "summary")}
+        return cls(header, iter(report["runs"]), lambda: report["summary"])
+
+
+def collect(stream: ReportStream) -> dict:
+    """The whole report of a stream, read to its end."""
+    return {**stream.header, "runs": list(stream.runs), "summary": stream.summary()}
+
+
+def _stream(
+    request: RunRequest, records: Iterator[dict], summary: Callable[[], dict]
+) -> ReportStream:
+    header = {
+        "version": __version__,
+        "schema_version": SCHEMA_VERSION,
+        "request": _request_block(request),
+    }
+    return _checked(header, records, summary)
+
+
+def _transcripts(configs: Iterator[ProtocolConfig]) -> Iterator[Transcript]:
+    """``run_protocols`` of the configs one stack at a time, each stack's
+    configs made only when it runs, so that nothing grows with the run
+    count."""
+    while stack := list(itertools.islice(configs, PROTOCOL_STACK_RUNS)):
+        yield from run_protocols(stack)
+
+
+def _protocol_stream(
+    request: RunRequest,
+    runs: Iterable[tuple[WParams, MachineBranch, MachineBranch]],
+    total_check: bool = False,
+) -> ReportStream:
+    """The report of the protocol run on each (params, branch1, branch2).
+
+    The summary is tallied as the records pass, and each transcript is
+    dropped once recorded, so at most one stack of them is alive.  With
+    ``total_check``, the unrounded joint probabilities, summed left to
+    right, must come to 1 before the summary is given, and the summary
+    reports their total: sum() of floats is compensated on Python >= 3.12,
+    which would change it.
+    """
+    configs = (ProtocolConfig(*run, request.apply_unitaries) for run in runs)
     by_pair = [
         {
             "pair": key,
             "kind": kind,
             "paper_claim": claim,
-            "runs": len(records),
+            "runs": 0,
             "agree": 0,
             "disagree": 0,
             "entangled_count": 0,
         }
         for key, (kind, claim) in _PAIR_HEADS.items()
     ]
-    for record in records:
-        # Every record lists its pair rows in ALL_PAIRS order.
-        for tally, row in zip(by_pair, record["pairs"], strict=True):
-            if row["agrees_with_paper"]:
-                tally["agree"] += 1
-            else:
-                tally["disagree"] += 1
-            if row["classification"] == ENTANGLED:
-                tally["entangled_count"] += 1
-    return {
-        "runs": len(records),
-        "broadcast_ok_count": sum(1 for r in records if r["broadcast_ok"]),
-        "pair_agreement": by_pair,
-    }
-
-
-def _assemble(request: RunRequest, runs: list[dict], summary: dict) -> dict:
-    report = {
-        "version": __version__,
-        "schema_version": SCHEMA_VERSION,
-        "request": _request_block(request),
-        "runs": runs,
-        "summary": summary,
-    }
-    validate_report(report)
-    return report
-
-
-def _protocol_records(
-    request: RunRequest, runs: Iterable[tuple[WParams, MachineBranch, MachineBranch]]
-) -> tuple[list[dict], float]:
-    """Run the protocol on each (params, branch1, branch2) and record it.
-
-    Also returns the unrounded joint probabilities summed left to right:
-    sum() of floats is compensated on Python >= 3.12, which would change the
-    total.  Each transcript is dropped once recorded, so at most one stack
-    of them is alive.
-    """
-    configs = [ProtocolConfig(*run, request.apply_unitaries) for run in runs]
-    records: list[dict] = []
+    summary = {"runs": 0, "broadcast_ok_count": 0, "pair_agreement": by_pair}
     total = 0.0
-    for index, transcript in enumerate(run_protocols(configs)):
-        records.append(_run_record(index, transcript))
-        total += transcript.p1 * transcript.p2
-    return records, total
+
+    def records() -> Iterator[dict]:
+        nonlocal total
+        for index, transcript in enumerate(_transcripts(configs)):
+            record = _run_record(index, transcript)
+            summary["runs"] += 1
+            summary["broadcast_ok_count"] += record["broadcast_ok"]
+            # Every record lists its pair rows in ALL_PAIRS order.
+            for tally, row in zip(by_pair, record["pairs"], strict=True):
+                tally["runs"] += 1
+                tally["agree" if row["agrees_with_paper"] else "disagree"] += 1
+                tally["entangled_count"] += row["classification"] == ENTANGLED
+            total += transcript.p1 * transcript.p2
+            yield record
+
+    def finish() -> dict:
+        if total_check:
+            if not abs(total - 1.0) <= 1e-10:
+                raise InvariantViolation(
+                    f"branch probabilities sum to {total!r}, expected 1 within 1e-10"
+                )
+            summary["probability_total"] = _rounded(("probability_total",), (total,))[0]
+        return summary
+
+    return _stream(request, records(), finish)
 
 
-def run_single(request: RunRequest) -> dict:
-    records, _ = _protocol_records(request, [(request.params, request.branch1, request.branch2)])
-    return _assemble(request, records, _summary_block(records))
+def stream_single(request: RunRequest) -> ReportStream:
+    return _protocol_stream(request, [(request.params, request.branch1, request.branch2)])
 
 
-def run_branches(request: RunRequest) -> dict:
-    records, total = _protocol_records(
-        request, ((request.params, b1, b2) for b1 in BRANCH_ORDER for b2 in BRANCH_ORDER)
-    )
-    if not abs(total - 1.0) <= 1e-10:
-        raise InvariantViolation(
-            f"branch probabilities sum to {total!r}, expected 1 within 1e-10"
-        )
-    summary = _summary_block(records)
-    summary["probability_total"] = _rounded(("probability_total",), (total,))[0]
-    return _assemble(request, records, summary)
+def stream_branches(request: RunRequest) -> ReportStream:
+    runs = ((request.params, b1, b2) for b1 in BRANCH_ORDER for b2 in BRANCH_ORDER)
+    return _protocol_stream(request, runs, total_check=True)
 
 
-def sweep_params(count: int, seed: int) -> list[WParams]:
-    """Draw parameter triples uniformly on the positive octant of the unit
-    sphere, rejecting draws with any component below the floor."""
+def _sweep_draws(seed: int) -> Iterator[WParams]:
+    """Parameter triples drawn uniformly on the positive octant of the unit
+    sphere, rejecting draws with any component below the floor, without
+    end."""
     rng = np.random.default_rng(seed)
-    draws = []
-    while len(draws) < count:
+    while True:
         vec = np.abs(rng.standard_normal(3))
         norm = float(np.linalg.norm(vec))
         if norm < 1e-12:
@@ -400,86 +444,147 @@ def sweep_params(count: int, seed: int) -> list[WParams]:
         vec /= norm
         if float(vec.min()) < SWEEP_COMPONENT_FLOOR:
             continue
-        draws.append(WParams(float(vec[0]), float(vec[1]), float(vec[2])))
-    return draws
+        yield WParams(float(vec[0]), float(vec[1]), float(vec[2]))
 
 
-def run_sweep(request: RunRequest) -> dict:
+def sweep_params(count: int, seed: int) -> list[WParams]:
+    """The first ``count`` sweep draws of ``seed``."""
+    return list(itertools.islice(_sweep_draws(seed), count))
+
+
+def stream_sweep(request: RunRequest) -> ReportStream:
     branch = BRANCH_ORDER[0]
-    draws = sweep_params(request.sweep_count, request.seed)
-    records, _ = _protocol_records(request, ((params, branch, branch) for params in draws))
-    return _assemble(request, records, _summary_block(records))
+    draws = itertools.islice(_sweep_draws(request.seed), request.sweep_count)
+    return _protocol_stream(request, ((params, branch, branch) for params in draws))
 
 
-def run_background(request: RunRequest) -> dict:
-    grid = [i / (request.grid + 1) for i in range(1, request.grid + 1)]
-    rows = []
-    for result in two_qubit_broadcasts(grid):
-        nonlocal_verdict, local_verdict = result.nonlocal_verdict, result.local_verdict
-        numbers = _rounded(
-            _BACKGROUND_NUMBERS,
-            (result.alpha_sq, nonlocal_verdict.min_pt_eigenvalue, local_verdict.min_pt_eigenvalue),
-        )
-        cells = (*numbers, nonlocal_verdict.classification, local_verdict.classification)
-        rows.append(dict(zip(_BACKGROUND_FIELDS, cells)))
+def stream_background(request: RunRequest) -> ReportStream:
     bounds = ("lower", "upper")
+    # Found before the first row: every csv row repeats it.
     summary = {
         "points": request.grid,
         "interval": dict(zip(bounds, _rounded(bounds, locate_broadcast_interval()))),
     }
-    return _assemble(request, rows, summary)
+    grid = [i / (request.grid + 1) for i in range(1, request.grid + 1)]
+
+    def rows() -> Iterator[dict]:
+        for result in two_qubit_broadcasts(grid):
+            nonlocal_verdict, local_verdict = result.nonlocal_verdict, result.local_verdict
+            numbers = _rounded(
+                _BACKGROUND_NUMBERS,
+                (result.alpha_sq, nonlocal_verdict.min_pt_eigenvalue, local_verdict.min_pt_eigenvalue),
+            )
+            cells = (*numbers, nonlocal_verdict.classification, local_verdict.classification)
+            yield dict(zip(_BACKGROUND_FIELDS, cells))
+
+    return _stream(request, rows(), lambda: summary)
 
 
+# Each mode's runner: the stream of its report.
 RUNNERS = {
-    "single": run_single,
-    "branches": run_branches,
-    "sweep": run_sweep,
-    "background": run_background,
+    "single": stream_single,
+    "branches": stream_branches,
+    "sweep": stream_sweep,
+    "background": stream_background,
 }
+
+
+def run_single(request: RunRequest) -> dict:
+    return collect(stream_single(request))
+
+
+def run_branches(request: RunRequest) -> dict:
+    return collect(stream_branches(request))
+
+
+def run_sweep(request: RunRequest) -> dict:
+    return collect(stream_sweep(request))
+
+
+def run_background(request: RunRequest) -> dict:
+    return collect(stream_background(request))
 
 
 # ---------------------------------------------------------------------------
 # Schema
 
 
-def _report_field(run: Field) -> Field:
-    return closed(
-        {
-            "version": _STRING,
-            "schema_version": const(SCHEMA_VERSION),
-            "request": _REQUEST,
-            "runs": array(run),
-            "summary": typed("object"),
-        }
-    )
-
-
-_PROTOCOL_REPORT = _report_field(
-    closed(_RUN_FIELDS, [name for name in _RUN_FIELDS if name not in _OPTIONAL_RUN_FIELDS])
-)
-_REPORT_FIELDS = {
-    "single": _PROTOCOL_REPORT,
-    "branches": _PROTOCOL_REPORT,
-    "sweep": _PROTOCOL_REPORT,
-    "background": _report_field(closed(_BACKGROUND_FIELDS)),
+# A report's parts and their fields: the header, each record (of its mode's
+# row kind) and the summary.
+_HEADER_FIELDS = {
+    "version": _STRING,
+    "schema_version": const(SCHEMA_VERSION),
+    "request": _REQUEST,
 }
+_HEADER = closed(_HEADER_FIELDS)
+_PROTOCOL_RUN = closed(
+    _RUN_FIELDS, [name for name in _RUN_FIELDS if name not in _OPTIONAL_RUN_FIELDS]
+)
+_ROW_FIELDS = {
+    "single": _PROTOCOL_RUN,
+    "branches": _PROTOCOL_RUN,
+    "sweep": _PROTOCOL_RUN,
+    "background": closed(_BACKGROUND_FIELDS),
+}
+_SUMMARY = typed("object")
+# Each mode's published schema: the parts as one object.
+_REPORT_SCHEMAS = {
+    mode: closed({**_HEADER_FIELDS, "runs": array(row), "summary": _SUMMARY}).schema
+    for mode, row in _ROW_FIELDS.items()
+}
+# A whole report's keys and the type of its runs; each part is then checked
+# as a stream checks it.
+_UNCHECKED = Field({}, lambda value: None)
+_ENVELOPE = closed(
+    {**dict.fromkeys(_HEADER_FIELDS, _UNCHECKED), "runs": array(_UNCHECKED), "summary": _UNCHECKED}
+)
 
 
 def report_schema(mode: str) -> dict:
     """The Draft-7 JSON schema every report of ``mode`` satisfies, as a fresh
     copy: editing it changes neither the checks nor a later caller's schema."""
-    return copy.deepcopy({"$schema": DRAFT7, **_REPORT_FIELDS[mode].schema})
+    return copy.deepcopy({"$schema": DRAFT7, **_REPORT_SCHEMAS[mode]})
+
+
+def _check(field: Field, value, *path: str | int):
+    """``value`` once it passes ``field``, found at ``path`` (leaf first)
+    in the report; otherwise an InvariantViolation naming the path and
+    the rule."""
+    try:
+        field.check(value)
+    except SchemaFailure as failure:
+        failure.path.extend(path)
+        raise InvariantViolation(f"report failed schema validation: {failure}") from None
+    return value
+
+
+def _checked(header: dict, records: Iterable, summary: Callable[[], object]) -> ReportStream:
+    """The stream of a report's parts, each passed on once it passes its
+    check: the header now, each record as it is read (the first one now),
+    and the summary when it is asked for."""
+    _check(_HEADER, header)
+    row = _ROW_FIELDS[header["request"]["mode"]]
+
+    def runs() -> Iterator[dict]:
+        for index, record in enumerate(records):
+            yield _check(row, record, index, "runs")
+
+    checked = runs()
+    first = list(itertools.islice(checked, 1))
+    return ReportStream(
+        header, itertools.chain(first, checked), lambda: _check(_SUMMARY, summary(), "summary")
+    )
 
 
 def validate_report(report: dict) -> None:
-    request = report.get("request") if isinstance(report, dict) else None
-    mode = request.get("mode") if isinstance(request, dict) else None
-    # Every mode's schema requires an object with a known request.mode, so a
-    # report with a missing or unknown mode fails whichever schema checks it.
-    try:
-        _REPORT_FIELDS[mode if mode in MODES else MODES[0]].check(report)
-    except SchemaFailure as failure:
-        raise InvariantViolation(f"report failed schema validation: {failure}") from None
+    """Check a whole report part by part, as its stream was checked: its
+    keys, its header, each record, then its summary."""
+    _check(_ENVELOPE, report)
+    header = {key: report[key] for key in _HEADER_FIELDS}
+    stream = _checked(header, report["runs"], lambda: report["summary"])
+    for _ in stream.runs:
+        pass
+    stream.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +622,22 @@ def _encode(value, depth: int) -> str:
     return "".join(_scalar_encoder(depth)(value, 0))
 
 
+class _Lazy(NamedTuple):
+    """A list written member by member as ``members`` yields them; a tuple,
+    so that ``_emit_members`` passes it on to ``_emit``."""
+
+    members: Iterator
+
+
 def _emit(value, depth: int, write: Write) -> None:
     """Write ``value``, nested ``depth`` levels deep, as ``json.dumps(value,
     indent=2, allow_nan=False)`` writes it (for str keys).  Only the levels
     holding containers are walked here; every other container is one C
     encoder call, with the line breaks after its opening and before its
     closing bracket added here."""
+    if isinstance(value, _Lazy):
+        _emit_members(zip(repeat(""), value.members), False, depth, write)
+        return
     if not isinstance(value, _CONTAINERS):
         write(_encode(value, depth))
         return
@@ -530,35 +645,66 @@ def _emit(value, depth: int, write: Write) -> None:
         write("{}" if isinstance(value, dict) else "[]")
         return
     is_dict = isinstance(value, dict)
-    items = value.values() if is_dict else value
-    indent = "\n" + "  " * (depth + 1)
-    close = "\n" + "  " * depth
-    if not any(isinstance(item, _CONTAINERS) for item in items):
+    if not any(isinstance(item, _CONTAINERS) for item in (value.values() if is_dict else value)):
         text = _encode(value, depth)
+        indent = "\n" + "  " * (depth + 1)
+        close = "\n" + "  " * depth
         write(f"{text[0]}{indent}{text[1:-1]}{close}{text[-1]}")
         return
-    write("{" if is_dict else "[")
-    keys = (f"{encode_basestring_ascii(key)}: " for key in value) if is_dict else repeat("")
-    separator = indent
-    for key, item in zip(keys, items):
+    _emit_members(value.items() if is_dict else zip(repeat(""), value), is_dict, depth, write)
+
+
+def _emit_members(members: Iterable[tuple], is_dict: bool, depth: int, write: Write) -> None:
+    """Write the (key, value) members of a container nested ``depth``
+    levels deep, each as it comes (a list's keys are ignored); with none,
+    the container is empty."""
+    indent = "\n" + "  " * (depth + 1)
+    separator = ("{" if is_dict else "[") + indent
+    for key, item in members:
+        head = separator + (f"{encode_basestring_ascii(key)}: " if is_dict else "")
         if isinstance(item, _CONTAINERS):
-            write(separator + key)
+            write(head)
             _emit(item, depth + 1, write)
         else:
-            write(separator + key + _encode(item, depth))
+            write(head + _encode(item, depth))
         separator = "," + indent
-    write(close + ("}" if is_dict else "]"))
+    if separator[0] == ",":  # a member was written
+        write("\n" + "  " * depth + ("}" if is_dict else "]"))
+    else:
+        write("{}" if is_dict else "[]")
 
 
-def render_json(report: dict, write: Write | None = None) -> str | None:
-    """The report as ``json.dumps(report, indent=2, allow_nan=False)`` text
-    and a final newline; given ``write``, that text is passed to it in
-    chunks and None is returned."""
+def _stream_members(stream: ReportStream) -> Iterator[tuple]:
+    yield from stream.header.items()
+    yield "runs", _Lazy(stream.runs)
+    yield "summary", stream.summary()  # asked for once the runs are written
+
+
+def _as_stream(report: dict | ReportStream) -> ReportStream:
+    return report if isinstance(report, ReportStream) else ReportStream.of(report)
+
+
+def _written(emit: Callable[[object, Write], None], report, write: Write | None):
+    """Run ``emit`` on the report into ``write``; without one, return the text."""
     chunks: list[str] = []
-    sink = chunks.append if write is None else write
-    _emit(report, 0, sink)
-    sink("\n")
+    emit(report, chunks.append if write is None else write)
     return "".join(chunks) if write is None else None
+
+
+def _emit_json(report, write: Write) -> None:
+    if isinstance(report, ReportStream):
+        _emit_members(_stream_members(report), True, 0, write)
+    else:
+        _emit(report, 0, write)
+    write("\n")
+
+
+def render_json(report, write: Write | None = None) -> str | None:
+    """A report (whole, or a stream written part by part as it is read), or
+    any JSON value, as ``json.dumps(report, indent=2, allow_nan=False)``
+    text and a final newline; given ``write``, that text is passed to it in
+    chunks and None is returned."""
+    return _written(_emit_json, report, write)
 
 
 # The per-run cells the protocol csv repeats before each pair row's fields.
@@ -575,29 +721,37 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def render_csv(report: dict) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    if report["request"]["mode"] == "background":
+def _emit_csv(report, write: Write) -> None:
+    stream = _as_stream(report)
+    writer = csv.writer(SimpleNamespace(write=write), lineterminator="\n")
+    if stream.header["request"]["mode"] == "background":
         writer.writerow((*_BACKGROUND_FIELDS, "interval_lower", "interval_upper"))
-        interval = report["summary"]["interval"]
+        interval = stream.summary()["interval"]
         bounds = [_csv_cell(interval["lower"]), _csv_cell(interval["upper"])]
-        for row in report["runs"]:
+        for row in stream.runs:
             writer.writerow([*(_csv_cell(row[name]) for name in _BACKGROUND_FIELDS), *bounds])
-    else:
-        writer.writerow((*_RUN_CSV_COLUMNS, *_PAIR_FIELDS, "broadcast_ok"))
-        for record in report["runs"]:
-            params, branches = record["params"], record["branches"]
-            run_cells = (
-                record["index"], params["alpha"], params["beta"], params["gamma"],
-                branches["round1"], branches["round2"],
-                record["apply_unitaries"], record["p1"], record["p2"],
-            )
-            head = [_csv_cell(v) for v in run_cells]
-            tail = _csv_cell(record["broadcast_ok"])
-            for row in record["pairs"]:
-                writer.writerow([*head, *(_csv_cell(row[name]) for name in _PAIR_FIELDS), tail])
-    return buffer.getvalue()
+        return
+    writer.writerow((*_RUN_CSV_COLUMNS, *_PAIR_FIELDS, "broadcast_ok"))
+    for record in stream.runs:
+        params, branches = record["params"], record["branches"]
+        run_cells = (
+            record["index"], params["alpha"], params["beta"], params["gamma"],
+            branches["round1"], branches["round2"],
+            record["apply_unitaries"], record["p1"], record["p2"],
+        )
+        head = [_csv_cell(v) for v in run_cells]
+        tail = _csv_cell(record["broadcast_ok"])
+        writer.writerows(
+            [*head, *(_csv_cell(row[name]) for name in _PAIR_FIELDS), tail]
+            for row in record["pairs"]
+        )
+    stream.summary()  # checked, though the csv carries none of it
+
+
+def render_csv(report, write: Write | None = None) -> str | None:
+    """A report, whole or a stream, as csv text; given ``write``, each row
+    is passed to it as it is made and None is returned."""
+    return _written(_emit_csv, report, write)
 
 
 def _text_probability(record: dict, name: str) -> str:
@@ -606,39 +760,55 @@ def _text_probability(record: dict, name: str) -> str:
     return f"{text} (= {note})" if note else text
 
 
-def render_text(report: dict) -> str:
-    lines: list[str] = []
-    request = report["request"]
-    lines.append(f"wbcast report v{report['version']} (schema {report['schema_version']})")
-    lines.append(f"mode: {request['mode']}")
+def _lines(lines: list[str], write: Write) -> None:
+    write("\n".join(lines) + "\n")
+
+
+def _emit_text(report, write: Write) -> None:
+    stream = _as_stream(report)
+    request = stream.header["request"]
+    _lines(
+        [
+            f"wbcast report v{stream.header['version']} "
+            f"(schema {stream.header['schema_version']})",
+            f"mode: {request['mode']}",
+        ],
+        write,
+    )
 
     if request["mode"] == "background":
-        lines.append("")
-        lines.append(f"{'alpha_sq':>12}  {'nonlocal min PT':>18}  {'local min PT':>18}  verdicts")
-        for row in report["runs"]:
-            lines.append(
-                f"{format15(row['alpha_sq']):>12}  "
-                f"{format15(row['nonlocal_min_pt_eigenvalue']):>18}  "
-                f"{format15(row['local_min_pt_eigenvalue']):>18}  "
-                f"{row['nonlocal_classification']}/{row['local_classification']}"
+        _lines(["", f"{'alpha_sq':>12}  {'nonlocal min PT':>18}  {'local min PT':>18}  verdicts"],
+               write)
+        for row in stream.runs:
+            _lines(
+                [
+                    f"{format15(row['alpha_sq']):>12}  "
+                    f"{format15(row['nonlocal_min_pt_eigenvalue']):>18}  "
+                    f"{format15(row['local_min_pt_eigenvalue']):>18}  "
+                    f"{row['nonlocal_classification']}/{row['local_classification']}"
+                ],
+                write,
             )
-        interval = report["summary"]["interval"]
-        lines.append("")
-        lines.append(
-            "non-local pair inseparable for alpha_sq in "
-            f"({format15(interval['lower'])}, {format15(interval['upper'])})"
+        interval = stream.summary()["interval"]
+        _lines(
+            [
+                "",
+                "non-local pair inseparable for alpha_sq in "
+                f"({format15(interval['lower'])}, {format15(interval['upper'])})",
+            ],
+            write,
         )
-        return "\n".join(lines) + "\n"
+        return
 
-    for record in report["runs"]:
+    for record in stream.runs:
         params = record["params"]
-        lines.append("")
-        lines.append(
+        lines = [
+            "",
             f"run {record['index']}: alpha={format15(params['alpha'])} "
             f"beta={format15(params['beta'])} gamma={format15(params['gamma'])} "
             f"branches {record['branches']['round1']}/{record['branches']['round2']} "
-            f"unitaries={'on' if record['apply_unitaries'] else 'off'}"
-        )
+            f"unitaries={'on' if record['apply_unitaries'] else 'off'}",
+        ]
         if record.get("note"):
             lines.append(f"  note: {record['note']}")
         lines.append(
@@ -650,11 +820,10 @@ def render_text(report: dict) -> str:
             f"  five-qubit state ({','.join(five['labels'])}): "
             f"trace = {format15(five['trace'])}, purity = {format15(five['purity'])}"
         )
-        header = (
+        lines.append(
             f"  {'pair':<5}{'kind':<10}{'min PT eig':>22}{'W3':>22}{'W4':>22}"
             f"{'negativity':>22}  {'verdict':<11}{'claimed':<11}agreement"
         )
-        lines.append(header)
         for row in record["pairs"]:
             lines.append(
                 f"  {row['pair']:<5}{row['kind']:<10}"
@@ -665,13 +834,14 @@ def render_text(report: dict) -> str:
                 f"{'agrees' if row['agrees_with_paper'] else 'DISAGREES'}"
             )
         lines.append(f"  broadcast_ok: {'true' if record['broadcast_ok'] else 'false'}")
+        _lines(lines, write)
 
-    summary = report["summary"]
-    lines.append("")
-    lines.append("paper claims comparison:")
-    lines.append(
-        f"  {'pair':<5}{'kind':<10}{'claimed':<11}{'runs':>5}{'agree':>7}{'disagree':>9}  marker"
-    )
+    summary = stream.summary()
+    lines = [
+        "",
+        "paper claims comparison:",
+        f"  {'pair':<5}{'kind':<10}{'claimed':<11}{'runs':>5}{'agree':>7}{'disagree':>9}  marker",
+    ]
     for row in summary["pair_agreement"]:
         marker = "agrees" if row["disagree"] == 0 else "DISAGREES"
         lines.append(
@@ -682,24 +852,23 @@ def render_text(report: dict) -> str:
         lines.append("")
         lines.append(f"total branch probability: {format15(summary['probability_total'])}")
     lines.append("")
-    lines.append(
-        f"broadcast_ok in {summary['broadcast_ok_count']} of {summary['runs']} runs"
-    )
-    return "\n".join(lines) + "\n"
+    lines.append(f"broadcast_ok in {summary['broadcast_ok_count']} of {summary['runs']} runs")
+    _lines(lines, write)
 
 
-def render(report: dict, fmt: str, write: Write | None = None) -> str | None:
-    """The report as ``fmt`` text; given ``write``, that text is passed to it
-    (json in chunks, csv and text whole) and None is returned."""
+def render_text(report, write: Write | None = None) -> str | None:
+    """A report, whole or a stream, as text; given ``write``, each run's
+    block is passed to it as it is made and None is returned."""
+    return _written(_emit_text, report, write)
+
+
+def render(report, fmt: str, write: Write | None = None) -> str | None:
+    """The report, whole or a stream, as ``fmt`` text; given ``write``, that
+    text is passed to it part by part and None is returned."""
     if fmt == "json":
         return render_json(report, write)
     if fmt == "csv":
-        text = render_csv(report)
-    elif fmt == "text":
-        text = render_text(report)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    if write is None:
-        return text
-    write(text)
-    return None
+        return render_csv(report, write)
+    if fmt == "text":
+        return render_text(report, write)
+    raise ValueError(f"unknown format {fmt!r}")

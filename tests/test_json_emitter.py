@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wbcast.cli import _request_from_args, build_parser, main
-from wbcast.report import RUNNERS, render, render_json
+from wbcast.report import RUNNERS, collect, render, render_json
 
 
 def _oracle(value) -> str:
@@ -25,7 +25,7 @@ def _oracle(value) -> str:
 
 def _report(argv: list[str]) -> dict:
     request = _request_from_args(build_parser().parse_args(argv))
-    return RUNNERS[request.mode](request)
+    return collect(RUNNERS[request.mode](request))
 
 
 ZERO_TRIPLE = ["branches", "--alpha", "1", "--beta", "0", "--gamma", "0"]

@@ -17,6 +17,8 @@ from wbcast.protocol import (
     LOCAL_PAIRS,
     NONLOCAL_PAIRS,
     PAPER_CLAIMS,
+    ROUND_ONE_ASSIGNMENTS,
+    ROUND_TWO_ASSIGNMENTS,
     ProtocolConfig,
     WParams,
     apply_local_unitaries,
@@ -327,6 +329,27 @@ def _final_state(params: WParams) -> StateVector:
 def _pair_state(state: StateVector, key: str):
     """Reduced state of the pair named like '15', in canonical wire order."""
     return partial_trace(state, {D(int(key[0])), D(int(key[1]))})
+
+
+def test_pair_tables_by_lab():
+    """Which lab holds each reported pair's wires, derived here from the
+    clone assignments: wires 1, 2 and 3 start in labs A, B and C, and each
+    clone belongs to the party whose machine made it.  Three of the five
+    pairs the paper calls non-local cross labs; (5,8) and (6,9) do not."""
+    lab = {D(1): "A", D(2): "B", D(3): "C"}
+    for assignment in (*ROUND_ONE_ASSIGNMENTS, *ROUND_TWO_ASSIGNMENTS):
+        party = assignment.machine.name[1]
+        assert lab[assignment.source] == party, "a party clones only its own wires"
+        lab[assignment.clone] = party
+    assert set(lab) == {D(i) for i in range(1, 10)}
+
+    def crosses(pair):
+        return lab[D(pair[0])] != lab[D(pair[1])]
+
+    assert [pair for pair in NONLOCAL_PAIRS if crosses(pair)] == [(1, 5), (1, 6), (8, 6)]
+    assert [pair for pair in NONLOCAL_PAIRS if not crosses(pair)] == [(5, 8), (6, 9)]
+    assert (lab[D(5)], lab[D(8)], lab[D(6)], lab[D(9)]) == ("B", "B", "C", "C")
+    assert not any(crosses(pair) for pair in LOCAL_PAIRS)
 
 
 class TestPairVerdicts:

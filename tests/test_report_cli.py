@@ -5,14 +5,19 @@ from __future__ import annotations
 import copy
 import csv
 import dataclasses
+import errno
 import io
+import itertools
 import json
 import math
+import os
+import stat
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wbcast import cli as cli_module
 from wbcast import report as report_module
 from wbcast.cli import main
 from wbcast.cloner import ImpossibleBranchError, MachineBranch
@@ -575,6 +580,84 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "'w3' is not finite (nan)" in captured.err
+
+    SWEEP_20 = ["sweep", "--sweep", "20", "--seed", "0"]
+
+    @classmethod
+    def _fail_at_record(cls, monkeypatch, code: int, index: int = 9) -> None:
+        """Make a sweep fail after its first records: record ``index`` breaks
+        (exit 3 or 4), or the write after some chunks finds the disk full
+        (exit 2)."""
+        if code == 2:
+            render = cli_module.render
+            written = itertools.count()
+
+            def full_disk_render(stream, fmt, write):
+                def write_until_full(text):
+                    if next(written) == 50:
+                        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                    write(text)
+
+                render(stream, fmt, write_until_full)
+
+            monkeypatch.setattr(cli_module, "render", full_disk_render)
+            return
+        seen = itertools.count()
+
+        def breaker(transcript):
+            if next(seen) != index:
+                return transcript
+            if code == 3:
+                raise ImpossibleBranchError("branch has zero probability")
+            pairs = dict(transcript.pairs)
+            pairs["86"] = dataclasses.replace(pairs["86"], w3=math.nan)
+            return dataclasses.replace(transcript, pairs=pairs)
+
+        cls._break_transcripts(monkeypatch, breaker)
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("code", [2, 3, 4])
+    def test_failed_run_leaves_out_as_it_was(self, tmp_path, monkeypatch, capsys, code, existing):
+        target = tmp_path / "report.json"
+        if existing:
+            target.write_text("an earlier report\n")
+        self._fail_at_record(monkeypatch, code)
+        assert main(self.SWEEP_20 + ["--out", str(target)]) == code
+        # No partial report and no temporary file; an earlier file is untouched.
+        assert list(tmp_path.iterdir()) == ([target] if existing else [])
+        if existing:
+            assert target.read_text() == "an earlier report\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+
+    def test_out_is_replaced_whole(self, tmp_path, capsysbinary):
+        assert main(self.SWEEP_20) == 0
+        want = capsysbinary.readouterr().out
+        target = tmp_path / "report.json"
+        target.write_text("an earlier report\n")
+        assert main(self.SWEEP_20 + ["--out", str(target)]) == 0
+        assert target.read_bytes() == want
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_new_out_file_gets_the_mode_open_gives(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            opened = tmp_path / "opened.txt"
+            open(opened, "w").close()
+            target = tmp_path / "report.json"
+            assert main(ARGS_SINGLE + ["--out", str(target)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(opened.stat().st_mode) == 0o640
+
+    def test_existing_out_file_keeps_its_mode(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("an earlier report\n")
+        target.chmod(0o604)
+        assert main(ARGS_SINGLE + ["--out", str(target)]) == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o604
+        assert json.loads(target.read_text())["request"]["mode"] == "single"
 
     def test_json_refuses_non_finite_values(self, single_report):
         broken = copy.deepcopy(single_report)

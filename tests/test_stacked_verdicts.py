@@ -4,10 +4,12 @@
 run as one stack, and ``two_qubit_broadcasts`` does the same with the two
 pairs of every point in a stack of grid points; ``ppt_verdict`` runs the
 same code on a stack of one.  ``run_protocols`` carries whole runs through
-the stage functions in stacks, each member on its own params and branches;
-``run_protocol`` is the stack of one, and the unbatched stage composition of
-``_finals`` stays the reference for the final states.  The paths must agree
-bit for bit on every field, on every branch pair, draw and grid point.
+the pipeline in stacks, each member on its own params and branches, and
+measures each party's machine right after its clone; ``run_protocol`` is the
+stack of one, and the unbatched stage composition of ``_finals``, which
+measures after each whole round, stays the reference for the final states
+and both branch probabilities.  The paths must agree bit for bit on every
+field, on every branch pair, draw and grid point.
 """
 
 from __future__ import annotations
@@ -57,13 +59,14 @@ TRIPLES = [*sweep_params(3, seed=2008), WParams(1.0, 0.0, 0.0)]
 
 
 def _finals(params: WParams, apply_unitaries: bool = True):
-    """(branch1, branch2, final state) for all 64 branch pairs."""
+    """(branch1, branch2, p1, p2, final state) for all 64 branch pairs."""
     cloned1 = round_one(prepare_w(params))
     for branch1 in BRANCH_ORDER:
-        cloned2 = round_two(branch_select(cloned1, branch1)[0])
+        selected1, p1 = branch_select(cloned1, branch1)
+        cloned2 = round_two(selected1)
         for branch2 in BRANCH_ORDER:
-            selected = branch_select(cloned2, branch2)[0]
-            yield branch1, branch2, (
+            selected, p2 = branch_select(cloned2, branch2)
+            yield branch1, branch2, p1, p2, (
                 apply_local_unitaries(selected) if apply_unitaries else selected
             )
 
@@ -78,7 +81,7 @@ def _assert_identical(stacked: PairVerdict, single: PairVerdict, where: str) -> 
 
 @pytest.mark.parametrize("params", TRIPLES, ids=lambda p: "%.4f,%.4f,%.4f" % p.as_tuple())
 def test_stacked_verdicts_equal_pair_by_pair(params):
-    for branch1, branch2, final in _finals(params):
+    for branch1, branch2, _, _, final in _finals(params):
         stacked = pair_verdicts(final)
         assert list(stacked) == [pair_key(p) for p in ALL_PAIRS]
         for a, b in ALL_PAIRS:
@@ -112,13 +115,15 @@ def _assert_same_run(stacked: Transcript, alone: Transcript) -> None:
 )
 def test_stacked_runs_equal_one_run_at_a_time(params, apply_unitaries):
     finals = list(_finals(params, apply_unitaries))
-    configs = [ProtocolConfig(params, b1, b2, apply_unitaries) for b1, b2, _ in finals]
+    configs = [ProtocolConfig(params, b1, b2, apply_unitaries) for b1, b2, *_ in finals]
     transcripts = list(run_protocols(configs))
     assert [t.config for t in transcripts] == configs
-    for transcript, (_, _, final) in zip(transcripts, finals, strict=True):
+    for transcript, (_, _, p1, p2, final) in zip(transcripts, finals, strict=True):
         _assert_same_run(transcript, run_protocol(transcript.config))
-        # The unbatched stage composition is the reference for the state.
+        # The unbatched stage composition is the reference for the state and
+        # for both branch probabilities.
         assert transcript.stages["final"].amps.tobytes() == final.amps.tobytes()
+        assert (transcript.p1.hex(), transcript.p2.hex()) == (p1.hex(), p2.hex())
 
 
 def test_sweep_runs_in_stacks_with_a_partial_last_one(monkeypatch):

@@ -7,13 +7,17 @@ transposes.  A sweep runs in stacks of runs: three spectra per stack, not
 per run.  A ``two_qubit_broadcast`` call computes at most two spectra,
 and the bisection of ``locate_broadcast_interval`` evaluates each point once.
 The background grid runs in stacks: two spectra per stack, not per point,
-with memory bounded by the stack size, not the grid size.  A JSON report is
-written as it is made, so its whole text is never held.  These counts
-repeat exactly, unlike timings.
+with memory bounded by the stack size, not the grid size.  A report is
+streamed: each record is written as soon as its stack finishes, so neither
+the whole report nor its text is ever held, and a failure after the first
+record leaves a prefix of the report on stdout.  These counts repeat
+exactly, unlike timings.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import os
 import tracemalloc
@@ -23,6 +27,7 @@ import numpy as np
 import pytest
 
 from wbcast import protocol
+from wbcast import report as report_module
 from wbcast.cli import main
 from wbcast.cloner import MachineBranch
 from wbcast.protocol import (
@@ -36,7 +41,16 @@ from wbcast.protocol import (
     two_qubit_broadcasts,
 )
 from wbcast.registers import Operator
-from wbcast.report import RUNNERS, RunRequest, render_json, run_background, run_sweep, sweep_params
+from wbcast.report import (
+    RUNNERS,
+    ReportStream,
+    RunRequest,
+    render,
+    render_json,
+    run_background,
+    run_sweep,
+    sweep_params,
+)
 
 UUU = MachineBranch.from_string("UUU")
 
@@ -100,15 +114,38 @@ def test_sweep_memory_is_bounded_by_the_stack():
     finally:
         tracemalloc.stop()
     assert len(transcripts) == len(configs)
-    # About 0.75 MiB; an operator application that keeps its contraction
-    # alive while the result is copied reaches about 1.25 MiB.
+    # About 0.41 MiB.  The bound leaves room for a stack that measures its
+    # machines only after each whole round (about 0.75 MiB), not for an
+    # operator application that keeps its contraction alive while the
+    # result is copied (about 1.25 MiB).
     assert peak - retained < 2**20
+
+
+def _streamed_sweep_peak(count: int) -> int:
+    """The traced peak of streaming a ``sweep`` report into a null sink."""
+    request = RunRequest(mode="sweep", sweep_count=count, seed=0)
+    tracemalloc.start()
+    try:
+        render(RUNNERS["sweep"](request), "json", lambda text: None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_report_memory_does_not_grow_with_its_runs():
+    _streamed_sweep_peak(PROTOCOL_STACK_RUNS)  # fills the operator and wire-plan caches
+    small, large = _streamed_sweep_peak(200), _streamed_sweep_peak(2000)
+    # About 0.09 MiB apart; a report held whole until it is rendered grows
+    # by about 8 KB per run, some 14 MiB here.
+    assert large - small < 2**19
 
 
 def test_json_report_is_written_as_it_is_made(monkeypatch):
     report = run_sweep(RunRequest(mode="sweep", sweep_count=150, seed=0))
     size = len(render_json(report))
-    monkeypatch.setitem(RUNNERS, "sweep", lambda request: report)
+    # The runner streams the records already made, so that only the
+    # writing is measured.
+    monkeypatch.setitem(RUNNERS, "sweep", lambda request: ReportStream.of(report))
 
     tracemalloc.start()
     try:
@@ -119,6 +156,39 @@ def test_json_report_is_written_as_it_is_made(monkeypatch):
     assert code == 0
     # About 60 KB of an 844 KB report; holding its text takes all 844 KB.
     assert peak < size / 4
+
+
+def _nan_witness_at_record(monkeypatch, index: int) -> None:
+    """Give run record ``index`` a NaN pair witness, which its record refuses."""
+    run_protocols = report_module.run_protocols
+    seen = itertools.count()
+
+    def nan_w3(transcript):
+        pairs = dict(transcript.pairs)
+        pairs["86"] = dataclasses.replace(pairs["86"], w3=math.nan)
+        return dataclasses.replace(transcript, pairs=pairs)
+
+    def broken_run_protocols(configs):
+        for transcript in run_protocols(configs):
+            yield nan_w3(transcript) if next(seen) == index else transcript
+
+    monkeypatch.setattr(report_module, "run_protocols", broken_run_protocols)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("index", [1, PROTOCOL_STACK_RUNS + 1], ids=["stack-1", "stack-2"])
+def test_failure_after_the_first_record_leaves_a_prefix(monkeypatch, capsysbinary, fmt, index):
+    argv = ["sweep", "--sweep", "20", "--seed", "0", "--format", fmt]
+    assert main(argv) == 0
+    good = capsysbinary.readouterr().out
+
+    _nan_witness_at_record(monkeypatch, index)
+    assert main(argv) == 4
+    captured = capsysbinary.readouterr()
+    assert 0 < len(captured.out) < len(good)
+    assert good.startswith(captured.out)
+    assert captured.err.decode().count("\n") == 1
+    assert "'w3' is not finite (nan)" in captured.err.decode()
 
 
 def test_background_point_computes_two_spectra(monkeypatch):
