@@ -44,7 +44,6 @@ from .protocol import (
     WParams,
     apply_local_unitaries,
     branch_select,
-    broadcast_verdict,
     five_qubit_state,
     locate_broadcast_interval,
     pair_verdicts,
@@ -81,7 +80,6 @@ __all__ = [
     "apply_to_targets",
     "bh_isometry",
     "branch_select",
-    "broadcast_verdict",
     "canonical_order",
     "clone_qubit",
     "five_qubit_state",

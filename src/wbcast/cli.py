@@ -155,14 +155,16 @@ def _replacing(path: str):
 def _sink(path: str | None):
     """The ``--out`` file, replaced on success, or stdout as it is now (a
     closed fd 1 fails here)."""
-    if path:
-        return _replacing(path)
-    return nullcontext(sys.stdout or open(1, "w", closefd=False))
+    if path is None:
+        return nullcontext(sys.stdout or open(1, "w", closefd=False))
+    return _replacing(path)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out == "":
+            raise ValueError("--out takes a file path, got an empty one")
         request = _request_from_args(args)
     except ValueError as exc:
         print(f"wbcast: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .registers import InvariantViolation, Operator, QubitLabel, StateVector
-from .registers import apply_to_targets, require_names
+from .registers import apply_to_targets
 
 # A branch with squared projection norm below this is treated as impossible.
 MIN_BRANCH_PROBABILITY = 1e-14
@@ -139,41 +139,17 @@ def renormalize_branches(
 
 
 def measure_machines(
-    state: StateVector,
-    branch: MachineBranch | Sequence[MachineBranch],
-    machines: Sequence[QubitLabel],
-    names: Sequence[str] | None = None,
-) -> tuple[StateVector, float | np.ndarray]:
-    """Project the three machine wires onto a branch and drop them.
-
-    Returns the renormalized post-measurement state and the branch probability
-    (the squared projection norm before renormalization), failing as
-    ``renormalize_branches`` does.
-
-    A stack of k states takes a sequence of k branches and returns the stack
-    of post-measurement states with an array of k probabilities; each member
-    is projected on its own branch and renormalized by its own probability.
-    ``names[i]``, if given, names member i in an error.  One state takes one
-    branch and is measured as the stack of one.
-    """
+    state: StateVector, branch: MachineBranch, machines: Sequence[QubitLabel]
+) -> tuple[StateVector, float]:
+    """Project the three machine wires of one state onto a branch and drop
+    them: the renormalized state and the branch probability (the squared
+    projection norm before renormalization), failing as
+    ``renormalize_branches`` does.  A stack is refused; ``run_protocols``
+    measures its members, each on its own branch."""
     machines = tuple(machines)
     if len(machines) != 3 or len(set(machines)) != 3:
         raise ValueError("exactly three distinct machine wires are required")
-    single = isinstance(branch, MachineBranch)
-    if single != (state.amps.ndim == 1):
-        raise ValueError(
-            "one state takes one MachineBranch and a stack a sequence of them, got "
-            f"{type(branch).__name__} for amplitudes of shape {state.amps.shape}"
-        )
-    branches = (branch,) if single else tuple(branch)
-    k = len(state.tensor())
-    if len(branches) != k:
-        raise ValueError(f"{len(branches)} branches given for a stack of {k} states")
-    if names is not None:
-        require_names(names, k, "measure_machines")
-
-    projected = project_machines(state, machines, list(zip(*(b.bits for b in branches))))
-    post, probabilities = renormalize_branches(projected, branches, names)
-    if single:
-        return StateVector(post.labels, post.amps[0]), float(probabilities[0])
-    return post, probabilities
+    state._require_single("measure_machines")
+    projected = project_machines(state, machines, [[bit] for bit in branch.bits])
+    post, probabilities = renormalize_branches(projected, [branch])
+    return StateVector(post.labels, post.amps[0]), float(probabilities[0])

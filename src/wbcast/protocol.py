@@ -6,7 +6,7 @@ Buzek-Hillery machine twice (round one: 1->4, 2->5, 3->6; round two: 4->7,
 5->8, 6->9), measuring the machine wires after each round and exchanging the
 outcomes classically.  The object of interest is the reduced state of qubits
 (1, 5, 8, 6, 9) and the separability pattern of its qubit pairs, which this
-module computes and checks against the published claims for the protocol.
+module computes.  ``PAPER_CLAIMS`` holds the claims a report compares it with.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -139,7 +139,6 @@ class Transcript:
     p2: float
     five_qubit: DensityMatrix
     pairs: dict[str, PairVerdict]
-    broadcast_ok: bool
 
 
 def prepare_w(params: WParams | Sequence[WParams]) -> StateVector:
@@ -181,20 +180,16 @@ def round_two(state: StateVector) -> StateVector:
     return state
 
 
-def branch_select(
-    state: StateVector,
-    branch: MachineBranch | Sequence[MachineBranch],
-    names: Sequence[str] | None = None,
-) -> tuple[StateVector, float | np.ndarray]:
-    """Measure whichever round's machine wires are present and drop them.
-    A stack takes one branch per member (see ``measure_machines``)."""
+def branch_select(state: StateVector, branch: MachineBranch) -> tuple[StateVector, float]:
+    """Measure whichever round's machine wires one state holds and drop them
+    (see ``measure_machines``)."""
     machines = [l for l in state.labels if l.is_machine]
     rounds = {l.round_no for l in machines}
     if len(machines) != 3 or len(rounds) != 1:
         raise ValueError("register must hold exactly one round's machine wires")
     round_no = rounds.pop()
     ordered = tuple(_M(party, round_no) for party in ("A", "B", "C"))
-    return measure_machines(state, branch, ordered, names)
+    return measure_machines(state, branch, ordered)
 
 
 _SIGMA_X = Operator(PAULI_X)
@@ -266,16 +261,6 @@ def pair_verdicts(
         for start in range(0, len(verdicts), len(_PAIR_KEYS))
     ]
     return runs[0] if state.amps.ndim == 1 else runs
-
-
-def broadcast_verdict(pairs: Mapping[str, PairVerdict]) -> bool:
-    """True when every pair's classification is the paper's claim for it
-    (the five pairs it calls non-local entangled, the six local ones
-    separable), the stated success condition for the broadcast."""
-    missing = [key for key in PAPER_CLAIMS if key not in pairs]
-    if missing:
-        raise ValueError(f"missing pair verdicts: {', '.join(missing)}")
-    return all(pairs[key].classification == claim for key, claim in PAPER_CLAIMS.items())
 
 
 # Runs carried through the pipeline per stack.  A member peaks at about
@@ -352,7 +337,6 @@ def _protocol_stack(configs: Sequence[ProtocolConfig]) -> list[Transcript]:
             p2=float(p2_i),
             five_qubit=five,
             pairs=pairs,
-            broadcast_ok=broadcast_verdict(pairs),
         )
         for config, amps, p1_i, p2_i, five, pairs in zip(
             configs, final.amps, p1, p2, fives, verdicts, strict=True

@@ -91,10 +91,10 @@ class StateVector:
 
     ``amps`` has shape ``(2**n,)``, or ``(k, 2**n)`` for a stack of k states
     on the same wires.  ``apply_to_targets``, ``partial_trace_stack``,
-    ``partial_traces`` and ``measure_machines`` keep that leading batch axis
+    ``partial_traces`` and ``project_machines`` keep that leading batch axis
     in front, and run a single state as the stack of one.  The per-state
-    readers (``permuted``, ``amplitude``, ``partial_trace``) take a single
-    state and reject a stack by name.
+    readers (``permuted``, ``amplitude``, ``partial_trace``,
+    ``measure_machines``) take a single state and reject a stack by name.
     """
 
     labels: tuple[QubitLabel, ...]

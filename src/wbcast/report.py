@@ -6,7 +6,8 @@ records pass.  Each part is checked as it passes, the first record before
 any output, and the renderers write each part as it arrives, so memory does
 not grow with the number of runs.  ``collect`` reads a stream into the whole
 report, a plain JSON-compatible dictionary, which ``validate_report`` checks
-with the same per-part checks.
+with the field whose schema ``report_schema`` publishes.  Each run record
+compares its pairs with the paper's claims: ``broadcast_ok`` if none differs.
 
 Every float is rounded to 15 significant digits where its record is built,
 in one pass per record's float list, so identical requests (and identical
@@ -44,6 +45,7 @@ from .cloner import BRANCH_ORDER, MachineBranch
 from .protocol import (
     ALL_PAIRS,
     LOCAL_PAIRS,
+    BROADCAST_STACK_POINTS,
     PAPER_CLAIMS,
     PROTOCOL_STACK_RUNS,
     ProtocolConfig,
@@ -300,7 +302,7 @@ def _run_record(index: int, transcript: Transcript) -> dict:
             "eigenvalues": _rounded(repeat("eigenvalues"), five.eigenvalues().tolist()),
         },
         "pairs": rows,
-        "broadcast_ok": transcript.broadcast_ok,
+        "broadcast_ok": not disagreeing,
         "paper_agreement": {
             "agree": len(transcript.pairs) - len(disagreeing),
             "disagree": len(disagreeing),
@@ -347,23 +349,11 @@ def collect(stream: ReportStream) -> dict:
     return {**stream.header, "runs": list(stream.runs), "summary": stream.summary()}
 
 
-def _stream(
-    request: RunRequest, records: Iterator[dict], summary: Callable[[], dict]
-) -> ReportStream:
-    header = {
-        "version": __version__,
-        "schema_version": SCHEMA_VERSION,
-        "request": _request_block(request),
-    }
-    return _checked(header, records, summary)
-
-
-def _transcripts(configs: Iterator[ProtocolConfig]) -> Iterator[Transcript]:
-    """``run_protocols`` of the configs one stack at a time, each stack's
-    configs made only when it runs, so that nothing grows with the run
-    count."""
-    while stack := list(itertools.islice(configs, PROTOCOL_STACK_RUNS)):
-        yield from run_protocols(stack)
+def _by_stack(run: Callable[[list], Iterable], items: Iterator, size: int) -> Iterator:
+    """``run`` of the items ``size`` at a time, each stack's items made only
+    when it runs, so that nothing grows with their count."""
+    while stack := list(itertools.islice(items, size)):
+        yield from run(stack)
 
 
 def _protocol_stream(
@@ -398,7 +388,8 @@ def _protocol_stream(
 
     def records() -> Iterator[dict]:
         nonlocal total
-        for index, transcript in enumerate(_transcripts(configs)):
+        transcripts = _by_stack(run_protocols, configs, PROTOCOL_STACK_RUNS)
+        for index, transcript in enumerate(transcripts):
             record = _run_record(index, transcript)
             summary["runs"] += 1
             summary["broadcast_ok_count"] += record["broadcast_ok"]
@@ -419,7 +410,7 @@ def _protocol_stream(
             summary["probability_total"] = _rounded(("probability_total",), (total,))[0]
         return summary
 
-    return _stream(request, records(), finish)
+    return _checked(request, records(), finish)
 
 
 def stream_single(request: RunRequest) -> ReportStream:
@@ -465,10 +456,10 @@ def stream_background(request: RunRequest) -> ReportStream:
         "points": request.grid,
         "interval": dict(zip(bounds, _rounded(bounds, locate_broadcast_interval()))),
     }
-    grid = [i / (request.grid + 1) for i in range(1, request.grid + 1)]
+    grid = (i / (request.grid + 1) for i in range(1, request.grid + 1))
 
     def rows() -> Iterator[dict]:
-        for result in two_qubit_broadcasts(grid):
+        for result in _by_stack(two_qubit_broadcasts, grid, BROADCAST_STACK_POINTS):
             nonlocal_verdict, local_verdict = result.nonlocal_verdict, result.local_verdict
             numbers = _rounded(
                 _BACKGROUND_NUMBERS,
@@ -477,7 +468,7 @@ def stream_background(request: RunRequest) -> ReportStream:
             cells = (*numbers, nonlocal_verdict.classification, local_verdict.classification)
             yield dict(zip(_BACKGROUND_FIELDS, cells))
 
-    return _stream(request, rows(), lambda: summary)
+    return _checked(request, rows(), lambda: summary)
 
 
 # Each mode's runner: the stream of its report.
@@ -527,23 +518,18 @@ _ROW_FIELDS = {
     "background": closed(_BACKGROUND_FIELDS),
 }
 _SUMMARY = typed("object")
-# Each mode's published schema: the parts as one object.
-_REPORT_SCHEMAS = {
-    mode: closed({**_HEADER_FIELDS, "runs": array(row), "summary": _SUMMARY}).schema
+# Each mode's whole report: the parts as one object, whose schema is the one
+# report_schema publishes.
+_REPORTS = {
+    mode: closed({**_HEADER_FIELDS, "runs": array(row), "summary": _SUMMARY})
     for mode, row in _ROW_FIELDS.items()
 }
-# A whole report's keys and the type of its runs; each part is then checked
-# as a stream checks it.
-_UNCHECKED = Field({}, lambda value: None)
-_ENVELOPE = closed(
-    {**dict.fromkeys(_HEADER_FIELDS, _UNCHECKED), "runs": array(_UNCHECKED), "summary": _UNCHECKED}
-)
 
 
 def report_schema(mode: str) -> dict:
     """The Draft-7 JSON schema every report of ``mode`` satisfies, as a fresh
     copy: editing it changes neither the checks nor a later caller's schema."""
-    return copy.deepcopy({"$schema": DRAFT7, **_REPORT_SCHEMAS[mode]})
+    return copy.deepcopy({"$schema": DRAFT7, **_REPORTS[mode].schema})
 
 
 def _check(field: Field, value, *path: str | int):
@@ -558,12 +544,19 @@ def _check(field: Field, value, *path: str | int):
     return value
 
 
-def _checked(header: dict, records: Iterable, summary: Callable[[], object]) -> ReportStream:
-    """The stream of a report's parts, each passed on once it passes its
-    check: the header now, each record as it is read (the first one now),
-    and the summary when it is asked for."""
+def _checked(
+    request: RunRequest, records: Iterable[dict], summary: Callable[[], dict]
+) -> ReportStream:
+    """The stream of a request's report, each part passed on once it passes
+    its check: the header now, each record as it is read (the first one
+    now), and the summary when it is asked for."""
+    header = {
+        "version": __version__,
+        "schema_version": SCHEMA_VERSION,
+        "request": _request_block(request),
+    }
     _check(_HEADER, header)
-    row = _ROW_FIELDS[header["request"]["mode"]]
+    row = _ROW_FIELDS[request.mode]
 
     def runs() -> Iterator[dict]:
         for index, record in enumerate(records):
@@ -577,14 +570,14 @@ def _checked(header: dict, records: Iterable, summary: Callable[[], object]) -> 
 
 
 def validate_report(report: dict) -> None:
-    """Check a whole report part by part, as its stream was checked: its
-    keys, its header, each record, then its summary."""
-    _check(_ENVELOPE, report)
-    header = {key: report[key] for key in _HEADER_FIELDS}
-    stream = _checked(header, report["runs"], lambda: report["summary"])
-    for _ in stream.runs:
-        pass
-    stream.summary()
+    """Check a whole report with its mode's report field.  A report naming
+    none of ``MODES`` is checked with the first mode's field, whose request
+    check rejects it as every mode's would."""
+    try:
+        field = _REPORTS[report["request"]["mode"]]
+    except (KeyError, TypeError):
+        field = _REPORTS[MODES[0]]
+    _check(field, report)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ determinant witnesses W3 (leading 3x3 principal minor of the partial
 transpose) and W4 (its full determinant) are reported alongside for
 comparison with published tables, but classification always follows the
 minimum partial-transpose eigenvalue.  A verdict depends on the state alone;
-comparing it with the published claims is the protocol's business.
+comparing it with the published claims is the report's business.
 """
 
 from __future__ import annotations

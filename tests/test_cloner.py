@@ -196,55 +196,17 @@ class TestMeasureMachines:
         with pytest.raises(InvariantViolation, match="branch UUD has probability"):
             measure_machines(s, MachineBranch.from_string("UUD"), self.MACHINES)
 
-    def test_stack_member_takes_its_own_branch(self):
-        rng = np.random.default_rng(46)
-        singles = [_three_clones(random_pure_state(rng, 8)) for _ in range(len(BRANCH_ORDER))]
-        stack = StateVector(singles[0].labels, np.stack([s.amps for s in singles]))
-        branches = list(reversed(BRANCH_ORDER))
-        post, probs = measure_machines(stack, branches, self.MACHINES)
-        assert post.amps.shape == (len(singles), 2 ** 6)
-        for i, (single, branch) in enumerate(zip(singles, branches, strict=True)):
-            alone, prob = measure_machines(single, branch, self.MACHINES)
-            assert post.labels == alone.labels
-            assert probs[i].hex() == prob.hex()
-            assert post.amps[i].tobytes() == alone.amps.tobytes()
-
-    def test_stack_failure_names_the_member(self):
-        # No cloning performed: machines in |000> can never read "down".
-        labels = (D(1), *self.MACHINES)
-        members = [StateVector.basis(labels, "0000").amps] * 3
-        stack = StateVector(labels, np.stack(members))
-        names = ["run a", "run b", "run c"]
-        branches = [MachineBranch.from_string(b) for b in ("UUU", "DUU", "UUD")]
-        with pytest.raises(ImpossibleBranchError, match="branch DUU of run b has probability"):
-            measure_machines(stack, branches, self.MACHINES, names)
-        nan = np.stack(members)
-        nan[2] = np.nan
-        with pytest.raises(InvariantViolation, match="branch UUD of run c has probability nan"):
-            measure_machines(StateVector(stack.labels, nan), branches, self.MACHINES, names)
-        with pytest.raises(ValueError, match="2 branches given for a stack of 3"):
-            measure_machines(stack, branches[:2], self.MACHINES)
-
-    @pytest.mark.parametrize("names", [["run a"], ["run a", "run b", "run c", "run d"]])
-    def test_stack_without_one_name_per_member_is_refused(self, names):
-        # Member c fails; without a name for it the failure could not be reported.
-        labels = (D(1), *self.MACHINES)
-        stack = StateVector(labels, np.stack([StateVector.basis(labels, "0000").amps] * 3))
-        branches = [MachineBranch.from_string(b) for b in ("UUU", "UUU", "UUD")]
-        with pytest.raises(ValueError, match="measure_machines takes one name per member"):
-            measure_machines(stack, branches, self.MACHINES, names)
-
-    def test_branch_argument_must_match_the_state(self):
-        # One state takes one branch and a stack a sequence, as prepare_w's
-        # argument decides one state or a stack.
+    def test_stack_is_refused(self):
+        # A stack's members are measured by run_protocols, each on its own
+        # branch; measure_machines and branch_select take one state.
         one = round_one(prepare_w(WParams.normalized(1.0, 1.0, 1.0)))
         stack = StateVector(one.labels, np.stack([one.amps, one.amps]))
         uuu = MachineBranch.from_string("UUU")
-        for state, branch in ((one, [uuu]), (stack, uuu)):
-            with pytest.raises(ValueError, match="one state takes one MachineBranch"):
-                measure_machines(state, branch, self.MACHINES)
-            with pytest.raises(ValueError, match="one state takes one MachineBranch"):
-                branch_select(state, branch)
+        refusal = "measure_machines takes a single state, not a stack of 2"
+        with pytest.raises(ValueError, match=refusal):
+            measure_machines(stack, uuu, self.MACHINES)
+        with pytest.raises(ValueError, match=refusal):
+            branch_select(stack, uuu)
 
     def test_requires_three_distinct_machines(self):
         s = StateVector.basis((D(1), *self.MACHINES), "0000")

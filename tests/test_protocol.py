@@ -23,7 +23,6 @@ from wbcast.protocol import (
     WParams,
     apply_local_unitaries,
     branch_select,
-    broadcast_verdict,
     five_qubit_state,
     locate_broadcast_interval,
     pair_key,
@@ -265,7 +264,6 @@ class TestUnitaryStage:
         # out.
         on = run_protocol(ProtocolConfig(params, branch1, branch2, apply_unitaries=True))
         off = run_protocol(ProtocolConfig(params, branch1, branch2, apply_unitaries=False))
-        assert on.broadcast_ok == off.broadcast_ok
         assert list(on.pairs) == list(off.pairs)
         for key, a in on.pairs.items():
             b = off.pairs[key]
@@ -440,7 +438,6 @@ class TestPairVerdicts:
             assert v.classification == ENTANGLED
             assert PAPER_CLAIMS[pair_key(pair)] == SEPARABLE
             assert v.classification != PAPER_CLAIMS[pair_key(pair)]
-        assert broadcast_verdict(verdicts) is False
 
     @pytest.mark.parametrize(
         "params,entangled_nonlocal",
@@ -496,12 +493,6 @@ class TestPairVerdicts:
             rho_b = partial_trace(swapped, {D(mapped_pair[0]), D(mapped_pair[1])}).rho
             assert np.max(np.abs(rho_a - rho_b)) < 1e-12
 
-    def test_broadcast_verdict_requires_all_pairs(self):
-        verdicts = pair_verdicts(_final_state(UNIFORM))
-        del verdicts["39"]
-        with pytest.raises(ValueError, match="39"):
-            broadcast_verdict(verdicts)
-
 
 class TestTranscript:
     def test_full_run_at_uniform(self):
@@ -510,7 +501,6 @@ class TestTranscript:
         assert t.p2 == pytest.approx(2 / 9, abs=1e-12)
         assert list(t.stages) == ["final"]
         assert t.stages["final"].n_qubits == 9
-        assert t.broadcast_ok is False
         assert len(t.pairs) == 11
 
     def test_dressing_flag_changes_final_stage_only(self):

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import inspect
 
+import dataclasses
+
 import wbcast
-from wbcast import protocol, registers, report
+from wbcast import cloner, protocol, registers, report
 from wbcast.cloner import MachineBranch
 from wbcast.registers import DensityMatrix, QubitLabel, StateVector
 
 # Names dropped from the package because no report, verdict or CLI mode used
-# them; they must not come back as public exports by accident.
+# them, or because another place makes the same decision; they must not come
+# back as public exports by accident.
 REMOVED_NAMES = (
     "Message",
     "PartyView",
@@ -22,6 +25,7 @@ REMOVED_NAMES = (
     "w_determinants",
     "hermitian_spectrum",
     "MachineOutcome",
+    "broadcast_verdict",
 )
 
 
@@ -64,6 +68,9 @@ def test_removed_members_stay_gone():
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     # canonical_order sorts by sort_key; wires define no order of their own.
     assert "__lt__" not in vars(QubitLabel)
+    # A transcript holds verdicts; only a report record compares them with
+    # PAPER_CLAIMS and sets its broadcast_ok.
+    assert "broadcast_ok" not in [f.name for f in dataclasses.fields(protocol.Transcript)]
 
 
 def test_no_setting_that_only_tests_reach():
@@ -73,3 +80,6 @@ def test_no_setting_that_only_tests_reach():
     assert params(protocol.locate_broadcast_interval) == []
     assert params(registers.partial_transpose_stack) == ["rhos"]
     assert params(DensityMatrix.element) == ["self", "bra", "ket"]
+    # One state is measured here; a stack only through run_protocols.
+    assert params(cloner.measure_machines) == ["state", "branch", "machines"]
+    assert params(protocol.branch_select) == ["state", "branch"]

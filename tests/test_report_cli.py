@@ -227,6 +227,18 @@ class TestSchema:
                 lambda r: r.update(extra="x"),
                 "$: Additional properties are not allowed ('extra' was unexpected)",
             ),
+            # A report naming no mode fails at its request.
+            (lambda r: r.pop("request"), "$: 'request' is a required property"),
+            (lambda r: r.update(request=[]), "$.request: [] is not of type 'object'"),
+            (
+                lambda r: r["request"].update(mode="wat"),
+                "$.request.mode: 'wat' is not one of "
+                "['single', 'branches', 'sweep', 'background']",
+            ),
+            (
+                lambda r: r["request"].update(mode=[]),
+                "$.request.mode: [] is not one of ['single', 'branches', 'sweep', 'background']",
+            ),
         ],
     )
     def test_failure_names_path_and_rule(self, single_report, mutate, message):
@@ -492,6 +504,14 @@ class TestCli:
         code = main(ARGS_SINGLE + ["--out", str(target)])
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
+
+    def test_empty_out_path_exit_2(self, capsys):
+        # An empty path names no file; the report goes nowhere, stdout included.
+        assert main(ARGS_SINGLE + ["--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "wbcast: --out takes a file path, got an empty one\n"
+        assert "stdout" not in captured.err
 
     def test_bad_branch_string_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -15,13 +15,15 @@ field, on every branch pair, draw and grid point.
 from __future__ import annotations
 
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
 
-from wbcast.cloner import BRANCH_ORDER
+from wbcast.cloner import BRANCH_ORDER, ImpossibleBranchError
 from wbcast.cloner import CloneAssignment, clone_qubit
-from wbcast import protocol
+from wbcast import cloner, protocol
 from wbcast.protocol import (
     ALL_PAIRS,
     BROADCAST_STACK_POINTS,
@@ -105,7 +107,6 @@ def _assert_same_run(stacked: Transcript, alone: Transcript) -> None:
     assert list(stacked.pairs) == list(alone.pairs) == [pair_key(p) for p in ALL_PAIRS]
     for key, verdict in stacked.pairs.items():
         _assert_identical(verdict, alone.pairs[key], f"{where} pair {key}")
-    assert stacked.broadcast_ok == alone.broadcast_ok
 
 
 @pytest.mark.parametrize(
@@ -172,6 +173,23 @@ def test_non_finite_member_names_its_run(monkeypatch):
         list(run_protocols(configs))
     assert want in str(failure.value)
     assert "has probability nan" in str(failure.value)
+
+
+def test_impossible_member_names_its_run(monkeypatch):
+    uuu = BRANCH_ORDER[0]
+    configs = [ProtocolConfig(p, uuu, uuu) for p in sweep_params(PROTOCOL_STACK_RUNS, 0)]
+    p1 = [transcript.p1 for transcript in run_protocols(configs)]
+    least = min(range(len(configs)), key=p1.__getitem__)
+    # The floor, read at call time, rises just above the least likely first
+    # round, so that member alone is impossible.
+    monkeypatch.setattr(cloner, "MIN_BRANCH_PROBABILITY", math.nextafter(p1[least], 1.0))
+    alpha, beta, gamma = configs[least].params.as_tuple()
+    want = (
+        f"branch UUU of UUU/UUU at (alpha, beta, gamma)=({alpha!r}, {beta!r}, {gamma!r}) "
+        "has probability"
+    )
+    with pytest.raises(ImpossibleBranchError, match=re.escape(want)):
+        list(run_protocols(configs))
 
 
 def _broadcast_pair_by_pair(alpha_sq: float) -> tuple[PairVerdict, PairVerdict]:
@@ -271,10 +289,12 @@ class TestStacksCarryTheirNames:
 
     @pytest.fixture(scope="class")
     def final(self):
-        stack = prepare_w([TRIPLES[0], TRIPLES[1]])
-        selected1, _ = branch_select(round_one(stack), [BRANCH_ORDER[0]] * 2, self.NAMES)
-        selected2, _ = branch_select(round_two(selected1), [BRANCH_ORDER[5]] * 2, self.NAMES)
-        return apply_local_unitaries(selected2)
+        singles = []
+        for params in TRIPLES[:2]:
+            selected1, _ = branch_select(round_one(prepare_w(params)), BRANCH_ORDER[0])
+            selected2, _ = branch_select(round_two(selected1), BRANCH_ORDER[5])
+            singles.append(apply_local_unitaries(selected2))
+        return StateVector(singles[0].labels, np.stack([single.amps for single in singles]))
 
     @pytest.mark.parametrize("reader", [five_qubit_state, pair_verdicts])
     @pytest.mark.parametrize("names", [None, ("run 0",), ("run 0", "run 1", "run 2")])

@@ -121,22 +121,34 @@ def test_sweep_memory_is_bounded_by_the_stack():
     assert peak - retained < 2**20
 
 
-def _streamed_sweep_peak(count: int) -> int:
-    """The traced peak of streaming a ``sweep`` report into a null sink."""
-    request = RunRequest(mode="sweep", sweep_count=count, seed=0)
+def _streamed_peak(mode: str, **fields) -> int:
+    """The traced peak of streaming a report into a null sink."""
+    request = RunRequest(mode=mode, **fields)
     tracemalloc.start()
     try:
-        render(RUNNERS["sweep"](request), "json", lambda text: None)
+        render(RUNNERS[mode](request), "json", lambda text: None)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_streamed_report_memory_does_not_grow_with_its_runs():
-    _streamed_sweep_peak(PROTOCOL_STACK_RUNS)  # fills the operator and wire-plan caches
-    small, large = _streamed_sweep_peak(200), _streamed_sweep_peak(2000)
+    # Fills the operator and wire-plan caches.
+    _streamed_peak("sweep", sweep_count=PROTOCOL_STACK_RUNS, seed=0)
+    small = _streamed_peak("sweep", sweep_count=200, seed=0)
+    large = _streamed_peak("sweep", sweep_count=2000, seed=0)
     # About 0.09 MiB apart; a report held whole until it is rendered grows
     # by about 8 KB per run, some 14 MiB here.
+    assert large - small < 2**19
+
+
+def test_streamed_background_memory_does_not_grow_with_its_grid():
+    _streamed_peak("background", grid=100)  # fills the operator and wire-plan caches
+    small = _streamed_peak("background", grid=2000)
+    large = _streamed_peak("background", grid=20000)
+    # About 0.01 MiB apart; a grid whose points and results are all made
+    # before the first row is written grows by about 0.5 KB per point, some
+    # 9.5 MiB here.
     assert large - small < 2**19
 
 
