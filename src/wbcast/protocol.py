@@ -11,10 +11,9 @@ module computes.  ``PAPER_CLAIMS`` holds the claims a report compares it with.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -263,44 +262,12 @@ def pair_verdicts(
     return runs[0] if state.amps.ndim == 1 else runs
 
 
-# Runs carried through the pipeline per stack.  A member peaks at about
-# 53 KiB (0.41 MiB per stack of 8 under tracemalloc; the largest register,
-# ten wires right after a clone, is 16 KiB per array), so the stack size
-# bounds the memory of a run list of any length.
-PROTOCOL_STACK_RUNS = 8
-
-
 def _run_name(config: ProtocolConfig) -> str:
     alpha, beta, gamma = config.params.as_tuple()
     return (
         f"{config.branch1}/{config.branch2} at (alpha, beta, gamma)="
         f"({alpha!r}, {beta!r}, {gamma!r})"
     )
-
-
-def run_protocols(configs: Sequence[ProtocolConfig]) -> Iterator[Transcript]:
-    """``run_protocol`` of every config, in order.
-
-    The configs are checked first: all must share ``apply_unitaries``.  The
-    runs then go through the pipeline in stacks of ``PROTOCOL_STACK_RUNS``,
-    each member on its own params and branches, and are yielded one stack at
-    a time, so a caller that keeps only what it needs holds one stack of
-    transcripts at most.  Each party's machine is measured as soon as it is
-    cloned (``_clone_and_select``), so no register holds more than one
-    machine wire.  Per stack, the five-qubit states are checked as one stack
-    and the eleven pairs of every member as another.  Each amplitude is one
-    product whatever the stack size and whenever its machine is measured, so
-    every transcript equals the stages ``round_one``, ``branch_select``,
-    ``round_two``, ``branch_select`` bit for bit.
-    """
-    configs = list(configs)
-    if len({config.apply_unitaries for config in configs}) > 1:
-        raise ValueError("all configs of one call must share apply_unitaries")
-    stacks = (
-        configs[start:start + PROTOCOL_STACK_RUNS]
-        for start in range(0, len(configs), PROTOCOL_STACK_RUNS)
-    )
-    return itertools.chain.from_iterable(map(_protocol_stack, stacks))
 
 
 def _clone_and_select(
@@ -318,7 +285,24 @@ def _clone_and_select(
     return renormalize_branches(state, branches, names)
 
 
-def _protocol_stack(configs: Sequence[ProtocolConfig]) -> list[Transcript]:
+def run_protocols(configs: Sequence[ProtocolConfig]) -> list[Transcript]:
+    """``run_protocol`` of every config, in order, as one stack.
+
+    The configs must share ``apply_unitaries``, checked before any work.
+    Each member runs on its own params and branches, and memory grows with
+    their number: the report runs stacks of eight.  Each party's machine is
+    measured as soon as it is cloned (``_clone_and_select``), so no register
+    holds more than one machine wire.  The five-qubit states are checked as
+    one stack and the eleven pairs of every member as another.  Each
+    amplitude is one product whatever the stack size and whenever its
+    machine is measured, so every transcript equals the stages
+    ``round_one``, ``branch_select``, ``round_two``, ``branch_select`` bit
+    for bit.
+    """
+    if len({config.apply_unitaries for config in configs}) > 1:
+        raise ValueError("all configs of one call must share apply_unitaries")
+    if not configs:
+        return []
     names = [_run_name(config) for config in configs]
     w = prepare_w([config.params for config in configs])
     branch1 = [config.branch1 for config in configs]
@@ -347,7 +331,7 @@ def _protocol_stack(configs: Sequence[ProtocolConfig]) -> list[Transcript]:
 def run_protocol(config: ProtocolConfig) -> Transcript:
     """Execute both cloning rounds on the selected branches and analyze the
     result: ``run_protocols`` of one config."""
-    return next(run_protocols([config]))
+    return run_protocols([config])[0]
 
 
 @dataclass(frozen=True)
@@ -364,31 +348,20 @@ class TwoQubitBroadcast:
 _BROADCAST_PAIRS = ((_D(1), _D(5)), (_D(1), _D(4)))
 _BROADCAST_KEYS = ("15", "14")
 
-# Grid points run through the pipeline per stack.  A fixed size bounds the
-# memory of a grid of any length: one stack of a whole 1099-point grid raised
-# the peak RSS of a background run by about 6 MiB (18%).
-BROADCAST_STACK_POINTS = 128
-
 
 def two_qubit_broadcasts(alpha_sqs: Sequence[float]) -> list[TwoQubitBroadcast]:
-    """``two_qubit_broadcast`` of every point, in order.
+    """``two_qubit_broadcast`` of every point, in order, as one stack.
 
-    Every point is validated before any is computed.  The points then run
-    through the labeled pipeline in stacks of ``BROADCAST_STACK_POINTS``:
-    per stack, two clonings, one partial-trace stack and one verdict stack.
-    Each amplitude is one product whatever the stack size, so every result
+    Every point is validated before any is computed.  The stack then takes
+    two clonings, one partial-trace stack and one verdict stack.  Each
+    amplitude is one product whatever the stack size, so every result
     equals the one-point pipeline bit for bit.
     """
     for alpha_sq in alpha_sqs:
         if not (0.0 < alpha_sq < 1.0):
             raise ValueError(f"alpha_sq must lie strictly between 0 and 1, got {alpha_sq!r}")
-    results: list[TwoQubitBroadcast] = []
-    for start in range(0, len(alpha_sqs), BROADCAST_STACK_POINTS):
-        results.extend(_broadcast_stack(alpha_sqs[start:start + BROADCAST_STACK_POINTS]))
-    return results
-
-
-def _broadcast_stack(alpha_sqs: Sequence[float]) -> list[TwoQubitBroadcast]:
+    if not alpha_sqs:
+        return []
     squares = np.array(alpha_sqs, dtype=float)
     amps = np.zeros((len(squares), 4), dtype=complex)
     amps[:, 0b00] = np.sqrt(squares)

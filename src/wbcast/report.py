@@ -1,13 +1,16 @@
 """Report assembly, serialization and schema validation.
 
 A report is made as a ``ReportStream``: its header, then each record as
-soon as its protocol stack finishes, then its summary, tallied as the
-records pass.  Each part is checked as it passes, the first record before
-any output, and the renderers write each part as it arrives, so memory does
-not grow with the number of runs.  ``collect`` reads a stream into the whole
-report, a plain JSON-compatible dictionary, which ``validate_report`` checks
-with the field whose schema ``report_schema`` publishes.  Each run record
-compares its pairs with the paper's claims: ``broadcast_ok`` if none differs.
+soon as its stack finishes, then its summary, tallied as the records pass.
+The report alone cuts the work into stacks: ``PROTOCOL_STACK_RUNS`` runs per
+``run_protocols`` call and ``BROADCAST_STACK_POINTS`` grid points per
+``two_qubit_broadcasts`` call.  Each part is checked as it passes, the first
+record before any output, and the renderers write each part as it arrives,
+so memory does not grow with the number of runs.  ``collect`` reads a stream
+into the whole report, a plain JSON-compatible dictionary, which
+``validate_report`` checks with the field whose schema ``report_schema``
+publishes.  Each run record compares its pairs with the paper's claims:
+``broadcast_ok`` if none differs.
 
 Every float is rounded to 15 significant digits where its record is built,
 in one pass per record's float list, so identical requests (and identical
@@ -16,11 +19,12 @@ an invariant failure naming its key.  Probabilities that sit within 1e-12
 of a small rational p/q (q <= 1000) get a fraction annotation alongside the
 numeric value.
 
-JSON is written as ``json.dumps(report, indent=2)`` would write it, but only
-the nested levels are walked in Python: each container without nested
-containers is one call of CPython's C encoder, whose item separator carries
-the newline and indentation.  ``render(report, fmt, write)`` passes the text
-to ``write`` in chunks, so the whole text is never held in memory.
+JSON is written as ``json.dumps(report, indent=2)`` would write it, one
+string per record (``_dumps``): only the nested levels are walked in Python,
+and each container without nested containers is one call of CPython's C
+encoder, whose item separator carries the newline and indentation.
+``render(report, fmt, write)`` passes the text to ``write`` one record at a
+time, so the whole text is never held in memory.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,9 +49,7 @@ from .cloner import BRANCH_ORDER, MachineBranch
 from .protocol import (
     ALL_PAIRS,
     LOCAL_PAIRS,
-    BROADCAST_STACK_POINTS,
     PAPER_CLAIMS,
-    PROTOCOL_STACK_RUNS,
     ProtocolConfig,
     Transcript,
     WParams,
@@ -349,6 +351,18 @@ def collect(stream: ReportStream) -> dict:
     return {**stream.header, "runs": list(stream.runs), "summary": stream.summary()}
 
 
+# Runs carried through the pipeline per stack.  A member peaks at about
+# 53 KiB (0.41 MiB per stack of 8 under tracemalloc; the largest register,
+# ten wires right after a clone, is 16 KiB per array), so the stack size
+# bounds the memory of a report of any length.
+PROTOCOL_STACK_RUNS = 8
+
+# Grid points run through the pipeline per stack.  A fixed size bounds the
+# memory of a grid of any length: one stack of a whole 1099-point grid raised
+# the peak RSS of a background run by about 6 MiB (18%).
+BROADCAST_STACK_POINTS = 128
+
+
 def _by_stack(run: Callable[[list], Iterable], items: Iterator, size: int) -> Iterator:
     """``run`` of the items ``size`` at a time, each stack's items made only
     when it runs, so that nothing grows with their count."""
@@ -611,66 +625,26 @@ def _scalar_encoder(depth: int):
     )
 
 
-def _encode(value, depth: int) -> str:
-    return "".join(_scalar_encoder(depth)(value, 0))
-
-
-class _Lazy(NamedTuple):
-    """A list written member by member as ``members`` yields them; a tuple,
-    so that ``_emit_members`` passes it on to ``_emit``."""
-
-    members: Iterator
-
-
-def _emit(value, depth: int, write: Write) -> None:
-    """Write ``value``, nested ``depth`` levels deep, as ``json.dumps(value,
+def _dumps(value, depth: int) -> str:
+    """``value``, nested ``depth`` levels deep, as ``json.dumps(value,
     indent=2, allow_nan=False)`` writes it (for str keys).  Only the levels
     holding containers are walked here; every other container is one C
     encoder call, with the line breaks after its opening and before its
     closing bracket added here."""
-    if isinstance(value, _Lazy):
-        _emit_members(zip(repeat(""), value.members), False, depth, write)
-        return
-    if not isinstance(value, _CONTAINERS):
-        write(_encode(value, depth))
-        return
-    if not value:
-        write("{}" if isinstance(value, dict) else "[]")
-        return
+    if not isinstance(value, _CONTAINERS) or not value:
+        return "".join(_scalar_encoder(depth)(value, 0))
     is_dict = isinstance(value, dict)
-    if not any(isinstance(item, _CONTAINERS) for item in (value.values() if is_dict else value)):
-        text = _encode(value, depth)
-        indent = "\n" + "  " * (depth + 1)
-        close = "\n" + "  " * depth
-        write(f"{text[0]}{indent}{text[1:-1]}{close}{text[-1]}")
-        return
-    _emit_members(value.items() if is_dict else zip(repeat(""), value), is_dict, depth, write)
-
-
-def _emit_members(members: Iterable[tuple], is_dict: bool, depth: int, write: Write) -> None:
-    """Write the (key, value) members of a container nested ``depth``
-    levels deep, each as it comes (a list's keys are ignored); with none,
-    the container is empty."""
+    members = value.values() if is_dict else value
     indent = "\n" + "  " * (depth + 1)
-    separator = ("{" if is_dict else "[") + indent
-    for key, item in members:
-        head = separator + (f"{encode_basestring_ascii(key)}: " if is_dict else "")
-        if isinstance(item, _CONTAINERS):
-            write(head)
-            _emit(item, depth + 1, write)
-        else:
-            write(head + _encode(item, depth))
-        separator = "," + indent
-    if separator[0] == ",":  # a member was written
-        write("\n" + "  " * depth + ("}" if is_dict else "]"))
+    if any(isinstance(member, _CONTAINERS) for member in members):
+        items = [_dumps(member, depth + 1) for member in members]
+        if is_dict:
+            items = [f"{encode_basestring_ascii(key)}: {item}" for key, item in zip(value, items)]
+        inner = ("," + indent).join(items)
     else:
-        write("{}" if is_dict else "[]")
-
-
-def _stream_members(stream: ReportStream) -> Iterator[tuple]:
-    yield from stream.header.items()
-    yield "runs", _Lazy(stream.runs)
-    yield "summary", stream.summary()  # asked for once the runs are written
+        inner = "".join(_scalar_encoder(depth)(value, 0))[1:-1]
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}{indent}{inner}\n{'  ' * depth}{closing}"
 
 
 def _as_stream(report: dict | ReportStream) -> ReportStream:
@@ -685,18 +659,25 @@ def _written(emit: Callable[[object, Write], None], report, write: Write | None)
 
 
 def _emit_json(report, write: Write) -> None:
-    if isinstance(report, ReportStream):
-        _emit_members(_stream_members(report), True, 0, write)
-    else:
-        _emit(report, 0, write)
-    write("\n")
+    stream = _as_stream(report)
+    header = "".join(
+        f"\n  {encode_basestring_ascii(key)}: {_dumps(value, 1)},"
+        for key, value in stream.header.items()
+    )
+    write("{" + header + '\n  "runs": [')
+    separator = "\n    "
+    for record in stream.runs:
+        write(separator + _dumps(record, 2))
+        separator = ",\n    "
+    closing = "\n  ]" if separator[0] == "," else "]"
+    # The summary is asked for once the runs are written.
+    write(f'{closing},\n  "summary": {_dumps(stream.summary(), 1)}\n}}\n')
 
 
 def render_json(report, write: Write | None = None) -> str | None:
-    """A report (whole, or a stream written part by part as it is read), or
-    any JSON value, as ``json.dumps(report, indent=2, allow_nan=False)``
-    text and a final newline; given ``write``, that text is passed to it in
-    chunks and None is returned."""
+    """A report, whole or a stream, as ``json.dumps(report, indent=2,
+    allow_nan=False)`` text and a final newline; given ``write``, the text
+    is passed to it one record at a time and None is returned."""
     return _written(_emit_json, report, write)
 
 

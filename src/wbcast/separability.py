@@ -44,7 +44,15 @@ class PairVerdict:
 
 def _w_stack(pts: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """(W3, W4) of each partial transpose in a stack, real parts."""
-    w = np.stack((np.linalg.det(pts[:, :3, :3]), np.linalg.det(pts)), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.stack((np.linalg.det(pts[:, :3, :3]), np.linalg.det(pts)), axis=-1)
+    # det gives NaN for some finite matrices with subnormal entries, as a
+    # 1e-154 amplitude makes; both minors are Hermitian, so each determinant
+    # is then the product of its eigenvalues.  A NaN entry stays NaN.
+    lost = np.isnan(w).any(axis=-1) & np.isfinite(pts).all(axis=(-2, -1))
+    if lost.any():
+        w[lost, 0] = np.prod(np.linalg.eigvalsh(pts[lost, :3, :3]), axis=-1)
+        w[lost, 1] = np.prod(np.linalg.eigvalsh(pts[lost]), axis=-1)
     # Row-major order: the first failing member, and W3 before W4 within it.
     for flat in np.flatnonzero(~(np.abs(w.imag) <= ATOL_PSD)):  # NaN fails too
         member, witness = divmod(int(flat), 2)

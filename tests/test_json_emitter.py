@@ -1,9 +1,10 @@
 """The JSON emitter against its oracle, ``json.dumps(..., indent=2)``.
 
-``render_json`` walks only the nested levels of a report and hands every
-container without nested containers to CPython's C encoder.  Its text must
-be exactly what the pure-Python encoder writes, for reports of every mode
-and for arbitrary JSON trees, and the CLI must write exactly that text.
+``_dumps`` walks only the nested levels of a value and hands every
+container without nested containers to CPython's C encoder; ``render_json``
+writes a report's header, each record and its summary with it.  The text
+must be exactly what the pure-Python encoder writes, for reports of every
+mode and for arbitrary JSON trees, and the CLI must write exactly that text.
 """
 
 from __future__ import annotations
@@ -16,11 +17,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wbcast.cli import _request_from_args, build_parser, main
-from wbcast.report import RUNNERS, collect, render, render_json
+from wbcast.report import RUNNERS, _dumps, collect, render, render_json
 
 
 def _oracle(value) -> str:
     return json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+
+def _tree_text(value) -> str:
+    return _dumps(value, 0) + "\n"
 
 
 def _report(argv: list[str]) -> dict:
@@ -47,6 +52,8 @@ def test_report_text_equals_the_oracle(argv):
     chunks: list[str] = []
     assert render_json(report, chunks.append) is None
     assert "".join(chunks) == _oracle(report)
+    # One string for the header, one per record and one for the summary.
+    assert len(chunks) == len(report["runs"]) + 2
 
 
 def test_zero_amplitude_report_covers_the_optional_fields():
@@ -90,7 +97,7 @@ def _trees(scalars):
 @example([[], {}, [[{}]], {"a": {"b": []}}])
 @example({"": [{"x": {}}, [], 2**64, -0.0, None, True]})
 def test_any_json_tree_equals_the_oracle(tree):
-    assert render_json(tree) == _oracle(tree)
+    assert _tree_text(tree) == _oracle(tree)
 
 
 @settings(max_examples=40, deadline=None)
@@ -100,9 +107,9 @@ def test_non_finite_values_raise_as_the_oracle_does(tree):
         want = _oracle(tree)
     except ValueError:
         with pytest.raises(ValueError):
-            render_json(tree)
+            _tree_text(tree)
     else:
-        assert render_json(tree) == want
+        assert _tree_text(tree) == want
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -120,7 +127,7 @@ def test_non_finite_values_raise_as_the_oracle_does(tree):
 )
 def test_non_finite_value_raises_at_any_depth(place, bad):
     with pytest.raises(ValueError):
-        render_json(place(bad))
+        _tree_text(place(bad))
 
 
 @pytest.mark.parametrize("tree", [{"a": [object()]}, {"a": {"b": 1}, "c": object()}])
@@ -128,7 +135,7 @@ def test_unserializable_value_raises_as_the_oracle_does(tree):
     with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
         _oracle(tree)
     with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
-        render_json(tree)
+        _tree_text(tree)
 
 
 CLI_ARGS = {

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from wbcast.protocol import (
     round_one,
     round_two,
     run_protocol,
+    run_protocols,
     two_qubit_broadcast,
 )
 from wbcast.registers import QubitLabel, StateVector, partial_trace
@@ -475,6 +477,53 @@ class TestPairVerdicts:
             if verdicts[pair_key(p)].classification == ENTANGLED
         }
         assert got == entangled_local
+
+    # On UUU/UUU, W4 of pair ij is -m/1296 for a monomial m in (alpha, beta,
+    # gamma): (coefficient, exponents) by pair.
+    UUU_W4_MONOMIALS = {
+        "15": (16, (0, 4, 4)),
+        "58": (1, (0, 8, 0)),
+        "16": (16, (4, 0, 4)),
+        "69": (1, (8, 0, 0)),
+        "86": (1, (4, 4, 0)),
+        "17": (16, (0, 0, 8)),
+        "14": (16, (0, 0, 8)),
+        "25": (16, (0, 8, 0)),
+        "28": (16, (0, 8, 0)),
+        "36": (16, (8, 0, 0)),
+        "39": (16, (8, 0, 0)),
+    }
+
+    @staticmethod
+    def _rational_points() -> list[tuple[Fraction, ...]]:
+        """Every cyclic rotation of five Pythagorean quadruples, and two
+        boundary triples."""
+        quadruples = ((1, 2, 2, 3), (2, 3, 6, 7), (1, 4, 8, 9), (2, 6, 9, 11), (4, 4, 7, 9))
+        points = [
+            tuple(Fraction(v[(k + i) % 3], d) for i in range(3))
+            for *v, d in quadruples
+            for k in range(3)
+        ]
+        return [*points, (Fraction(0), Fraction(3, 5), Fraction(4, 5)), (Fraction(1), 0, 0)]
+
+    @pytest.mark.parametrize("apply_unitaries", [True, False], ids=["dressed", "undressed"])
+    def test_uuu_w4_closed_forms(self, apply_unitaries):
+        points = self._rational_points()
+        configs = [
+            ProtocolConfig(WParams(*map(float, point)), UUU, UUU, apply_unitaries)
+            for point in points
+        ]
+        for point, transcript in zip(points, run_protocols(configs), strict=True):
+            for key, verdict in transcript.pairs.items():
+                coefficient, exponents = self.UUU_W4_MONOMIALS[key]
+                m = coefficient * math.prod(x**e for x, e in zip(point, exponents))
+                where = f"pair {key} at {point}"
+                if m:
+                    assert verdict.w4 == pytest.approx(-m / 1296, rel=1e-13, abs=0), where
+                    assert verdict.classification == ENTANGLED, where
+                else:
+                    assert verdict.w4 == 0.0, where
+                    assert verdict.classification == SEPARABLE, where
 
     def test_swap_symmetry_of_first_two_components(self):
         # Exchanging the first two amplitudes is the same as relabeling wires

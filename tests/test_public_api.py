@@ -60,6 +60,9 @@ REMOVED_MEMBERS = (
     (QubitLabel, "index"),
     (QubitLabel, "party"),
     (MachineBranch, "outcomes"),
+    # The stack sizes live in the report, which alone cuts runs into stacks.
+    (protocol, "PROTOCOL_STACK_RUNS"),
+    (protocol, "BROADCAST_STACK_POINTS"),
 )
 
 

@@ -606,16 +606,18 @@ class TestCli:
     @classmethod
     def _fail_at_record(cls, monkeypatch, code: int, index: int = 9) -> None:
         """Make a sweep fail after its first records: record ``index`` breaks
-        (exit 3 or 4), or the write after some chunks finds the disk full
-        (exit 2)."""
+        (exit 3 or 4), or the first write after 4 KiB have been written finds
+        the disk full (exit 2), however the text is cut into writes."""
         if code == 2:
             render = cli_module.render
-            written = itertools.count()
+            written = 0
 
             def full_disk_render(stream, fmt, write):
                 def write_until_full(text):
-                    if next(written) == 50:
+                    nonlocal written
+                    if written >= 4096:
                         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                    written += len(text)
                     write(text)
 
                 render(stream, fmt, write_until_full)

@@ -2,14 +2,15 @@
 
 ``pair_verdicts`` validates and classifies all eleven pair reductions of a
 run as one stack, and ``two_qubit_broadcasts`` does the same with the two
-pairs of every point in a stack of grid points; ``ppt_verdict`` runs the
-same code on a stack of one.  ``run_protocols`` carries whole runs through
-the pipeline in stacks, each member on its own params and branches, and
+pairs of every grid point it is given; ``ppt_verdict`` runs the same code on
+a stack of one.  ``run_protocols`` carries the runs it is given through the
+pipeline as one stack, each member on its own params and branches, and
 measures each party's machine right after its clone; ``run_protocol`` is the
 stack of one, and the unbatched stage composition of ``_finals``, which
 measures after each whole round, stays the reference for the final states
-and both branch probabilities.  The paths must agree bit for bit on every
-field, on every branch pair, draw and grid point.
+and both branch probabilities.  The report cuts its runs and grid points
+into those stacks.  The paths must agree bit for bit on every field, on
+every branch pair, draw and grid point.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ import pytest
 from wbcast.cloner import BRANCH_ORDER, ImpossibleBranchError
 from wbcast.cloner import CloneAssignment, clone_qubit
 from wbcast import cloner, protocol
+from wbcast import report as report_module
 from wbcast.protocol import (
     ALL_PAIRS,
-    BROADCAST_STACK_POINTS,
-    PROTOCOL_STACK_RUNS,
     ProtocolConfig,
     Transcript,
     WParams,
@@ -51,7 +51,14 @@ from wbcast.registers import (
     check_density_stack,
     partial_trace,
 )
-from wbcast.report import sweep_params
+from wbcast.report import (
+    BROADCAST_STACK_POINTS,
+    PROTOCOL_STACK_RUNS,
+    RunRequest,
+    collect,
+    stream_sweep,
+    sweep_params,
+)
 from wbcast.separability import PairVerdict, ppt_verdict
 
 D = QubitLabel.data
@@ -117,7 +124,7 @@ def _assert_same_run(stacked: Transcript, alone: Transcript) -> None:
 def test_stacked_runs_equal_one_run_at_a_time(params, apply_unitaries):
     finals = list(_finals(params, apply_unitaries))
     configs = [ProtocolConfig(params, b1, b2, apply_unitaries) for b1, b2, *_ in finals]
-    transcripts = list(run_protocols(configs))
+    transcripts = run_protocols(configs)
     assert [t.config for t in transcripts] == configs
     for transcript, (_, _, p1, p2, final) in zip(transcripts, finals, strict=True):
         _assert_same_run(transcript, run_protocol(transcript.config))
@@ -128,22 +135,23 @@ def test_stacked_runs_equal_one_run_at_a_time(params, apply_unitaries):
 
 
 def test_sweep_runs_in_stacks_with_a_partial_last_one(monkeypatch):
-    uuu = BRANCH_ORDER[0]
-    configs = [ProtocolConfig(p, uuu, uuu) for p in sweep_params(150, 0)]
-    sizes = []
-    stack = protocol._protocol_stack
+    sizes, transcripts = [], []
+    run_protocols_ = report_module.run_protocols
 
-    def recording_stack(members):
-        sizes.append(len(members))
-        return stack(members)
+    def recording_run_protocols(configs):
+        sizes.append(len(configs))
+        stack = run_protocols_(configs)
+        transcripts.extend(stack)
+        return stack
 
-    monkeypatch.setattr(protocol, "_protocol_stack", recording_stack)
-    transcripts = run_protocols(configs)
-    assert sizes == [], "no stack runs before the first transcript is asked for"
-    transcripts = list(transcripts)
+    monkeypatch.setattr(report_module, "run_protocols", recording_run_protocols)
+    stream = stream_sweep(RunRequest(mode="sweep", sweep_count=150, seed=0))
+    assert sizes == [PROTOCOL_STACK_RUNS], "only the first record's stack runs at once"
+    collect(stream)
     assert sizes == [PROTOCOL_STACK_RUNS] * 18 + [150 - 18 * PROTOCOL_STACK_RUNS]
-    for transcript, config in zip(transcripts, configs, strict=True):
-        _assert_same_run(transcript, run_protocol(config))
+    uuu = BRANCH_ORDER[0]
+    for transcript, params in zip(transcripts, sweep_params(150, 0), strict=True):
+        _assert_same_run(transcript, run_protocol(ProtocolConfig(params, uuu, uuu)))
 
 
 def test_stacked_runs_share_apply_unitaries():
@@ -152,7 +160,7 @@ def test_stacked_runs_share_apply_unitaries():
     mixed = [ProtocolConfig(params, uuu, uuu, True), ProtocolConfig(params, uuu, uuu, False)]
     with pytest.raises(ValueError, match="apply_unitaries"):
         run_protocols(mixed)  # checked before any stack runs
-    assert list(run_protocols([])) == []
+    assert run_protocols([]) == []
 
 
 def test_non_finite_member_names_its_run(monkeypatch):
@@ -170,7 +178,7 @@ def test_non_finite_member_names_its_run(monkeypatch):
     alpha, beta, gamma = configs[5].params.as_tuple()
     want = f"UUU of UUU/UUU at (alpha, beta, gamma)=({alpha!r}, {beta!r}, {gamma!r})"
     with pytest.raises(InvariantViolation) as failure:
-        list(run_protocols(configs))
+        run_protocols(configs)
     assert want in str(failure.value)
     assert "has probability nan" in str(failure.value)
 
@@ -189,7 +197,7 @@ def test_impossible_member_names_its_run(monkeypatch):
         "has probability"
     )
     with pytest.raises(ImpossibleBranchError, match=re.escape(want)):
-        list(run_protocols(configs))
+        run_protocols(configs)
 
 
 def _broadcast_pair_by_pair(alpha_sq: float) -> tuple[PairVerdict, PairVerdict]:

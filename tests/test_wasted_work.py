@@ -31,8 +31,6 @@ from wbcast import report as report_module
 from wbcast.cli import main
 from wbcast.cloner import MachineBranch
 from wbcast.protocol import (
-    BROADCAST_STACK_POINTS,
-    PROTOCOL_STACK_RUNS,
     ProtocolConfig,
     WParams,
     run_protocol,
@@ -42,6 +40,8 @@ from wbcast.protocol import (
 )
 from wbcast.registers import Operator
 from wbcast.report import (
+    BROADCAST_STACK_POINTS,
+    PROTOCOL_STACK_RUNS,
     RUNNERS,
     ReportStream,
     RunRequest,
@@ -104,20 +104,20 @@ def test_sweep_computes_three_spectra_per_stack(monkeypatch):
 
 
 def test_sweep_memory_is_bounded_by_the_stack():
-    configs = [ProtocolConfig(p, UUU, UUU) for p in sweep_params(150, 0)]
-    list(run_protocols(configs[:PROTOCOL_STACK_RUNS]))  # fills the caches
+    configs = [ProtocolConfig(p, UUU, UUU) for p in sweep_params(2 * PROTOCOL_STACK_RUNS, 0)]
+    run_protocols(configs[PROTOCOL_STACK_RUNS:])  # fills the caches
 
     tracemalloc.start()
     try:
-        transcripts = list(run_protocols(configs))
+        transcripts = run_protocols(configs[:PROTOCOL_STACK_RUNS])
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(transcripts) == len(configs)
-    # About 0.41 MiB.  The bound leaves room for a stack that measures its
-    # machines only after each whole round (about 0.75 MiB), not for an
-    # operator application that keeps its contraction alive while the
-    # result is copied (about 1.25 MiB).
+    assert len(transcripts) == PROTOCOL_STACK_RUNS
+    # One report stack: about 0.41 MiB.  The bound leaves room for a stack
+    # that measures its machines only after each whole round (about
+    # 0.75 MiB), not for an operator application that keeps its contraction
+    # alive while the result is copied (about 1.25 MiB).
     assert peak - retained < 2**20
 
 
@@ -239,7 +239,7 @@ def test_background_grid_computes_two_spectra_per_stack(monkeypatch):
 
 
 def test_grid_memory_is_bounded_by_the_stack():
-    points = [i / 10_001 for i in range(1, 10_001)]
+    points = [i / (BROADCAST_STACK_POINTS + 1) for i in range(1, BROADCAST_STACK_POINTS + 1)]
     two_qubit_broadcasts(points[:10])  # fills the operator and wire-plan caches
 
     tracemalloc.start()
@@ -248,7 +248,7 @@ def test_grid_memory_is_bounded_by_the_stack():
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(results) == len(points)
+    assert len(results) == BROADCAST_STACK_POINTS
     assert peak - retained < 2**20
 
 
