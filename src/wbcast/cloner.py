@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .registers import InvariantViolation, Operator, QubitLabel, StateVector
+from .registers import InvariantViolation, Naming, Operator, QubitLabel, StateVector
 from .registers import apply_to_targets
 
 # A branch with squared projection norm below this is treated as impossible.
@@ -117,7 +117,7 @@ def project_machines(
 def renormalize_branches(
     state: StateVector,
     branches: Sequence[MachineBranch],
-    names: Sequence[str] | None = None,
+    name: Naming | None = None,
 ) -> tuple[StateVector, np.ndarray]:
     """A projected stack renormalized member by member, with the array of its
     branch probabilities (the squared norms before renormalization).
@@ -125,7 +125,7 @@ def renormalize_branches(
     A probability below ``MIN_BRANCH_PROBABILITY``, read at call time, raises
     ``ImpossibleBranchError``; a NaN or infinite one means the state itself
     is broken and raises ``InvariantViolation``.  Each names its member's
-    branch, and ``names[i]``, if given, too.
+    branch, and ``name(i)``, if given, too.
     """
     probabilities = np.sum(np.abs(state.amps) ** 2, axis=1)
     for failure, bad in (
@@ -133,7 +133,7 @@ def renormalize_branches(
         (ImpossibleBranchError, ~(probabilities >= MIN_BRANCH_PROBABILITY)),
     ):
         for i in np.flatnonzero(bad):
-            where = "" if names is None else f" of {names[i]}"
+            where = "" if name is None else f" of {name(i)}"
             raise failure(f"branch {branches[i]}{where} has probability {probabilities[i]:.3e}")
     return StateVector(state.labels, state.amps / np.sqrt(probabilities)[:, None]), probabilities
 

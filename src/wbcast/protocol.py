@@ -30,6 +30,7 @@ from .registers import (
     PAULI_Y,
     DensityMatrix,
     InvariantViolation,
+    Naming,
     Operator,
     QubitLabel,
     StateVector,
@@ -37,7 +38,6 @@ from .registers import (
     partial_trace,
     partial_trace_stack,
     partial_traces,
-    require_names,
 )
 from .separability import ENTANGLED, SEPARABLE, PairVerdict, ppt_verdicts
 # Not called here; kept because perfbench/layers.py traces wbcast.protocol.ppt_verdict.
@@ -217,20 +217,23 @@ def apply_local_unitaries(state: StateVector) -> StateVector:
     return state
 
 
+def _require_naming(name: Naming | None, reader: str) -> None:
+    if name is None:
+        raise ValueError(f"{reader} takes a naming function for a stack")
+
+
 def five_qubit_state(
-    state: StateVector, names: Sequence[str] | None = None
+    state: StateVector, name: Naming | None = None
 ) -> DensityMatrix | list[DensityMatrix]:
     """Reduced state of qubits (1, 5, 8, 6, 9), the broadcast payload.
 
     A stack of states gives one state per member, all checked as one stack
-    (``names[i]`` naming member i); each keeps its spectrum."""
+    (``name(i)`` naming member i); each keeps its spectrum."""
     _require_register(state, _DATA_WIRES, "five_qubit_state")
     if state.amps.ndim == 1:
         return partial_trace(state, _FIVE_QUBIT_WIRES)
-    require_names(names, len(state.amps), "five_qubit_state")
-    return partial_traces(
-        state, _FIVE_QUBIT_WIRES, [f"five-qubit state of {name}" for name in names]
-    )
+    _require_naming(name, "five_qubit_state")
+    return partial_traces(state, _FIVE_QUBIT_WIRES, lambda i: f"five-qubit state of {name(i)}")
 
 
 _PAIR_KEYS = tuple(pair_key(pair) for pair in ALL_PAIRS)
@@ -239,22 +242,26 @@ _PAIR_NAMES = tuple(f"pair {key}" for key in _PAIR_KEYS)
 
 
 def pair_verdicts(
-    state: StateVector, names: Sequence[str] | None = None
+    state: StateVector, name: Naming | None = None
 ) -> dict[str, PairVerdict] | list[dict[str, PairVerdict]]:
     """Separability verdicts for all reported pairs, keyed in report order.
 
     The eleven reductions are validated together and classified together:
     one stacked spectrum for the state checks, one for the partial
     transposes.  A stack of states gives one mapping per member, and all
-    ``11 * k`` pairs share the two spectra; ``names[i]`` names member i.
+    ``11 * k`` pairs share the two spectra; ``name(i)`` names member i.
     """
     _require_register(state, _DATA_WIRES, "pair_verdicts")
     if state.amps.ndim == 1:
-        pair_names: Sequence[str] = _PAIR_NAMES
+        pair_name: Naming = _PAIR_NAMES.__getitem__
     else:
-        require_names(names, len(state.amps), "pair_verdicts")
-        pair_names = [f"{pair} of {name}" for name in names for pair in _PAIR_NAMES]
-    verdicts = ppt_verdicts(partial_trace_stack(state, _PAIR_LABELS, pair_names), pair_names)
+        _require_naming(name, "pair_verdicts")
+
+        def pair_name(member: int) -> str:
+            run, pair = divmod(member, len(_PAIR_NAMES))
+            return f"{_PAIR_NAMES[pair]} of {name(run)}"
+
+    verdicts = ppt_verdicts(partial_trace_stack(state, _PAIR_LABELS, pair_name), pair_name)
     runs = [
         dict(zip(_PAIR_KEYS, verdicts[start:start + len(_PAIR_KEYS)]))
         for start in range(0, len(verdicts), len(_PAIR_KEYS))
@@ -274,7 +281,7 @@ def _clone_and_select(
     state: StateVector,
     assignments: Sequence[CloneAssignment],
     branches: Sequence[MachineBranch],
-    names: Sequence[str],
+    name: Naming,
 ) -> tuple[StateVector, np.ndarray]:
     """One cloning round of a stack, each party's machine measured right
     after its clone: member i keeps the bit its branch gives that party.
@@ -282,7 +289,7 @@ def _clone_and_select(
     for party, assignment in enumerate(assignments):
         bits = [branch.bits[party] for branch in branches]
         state = project_machines(clone_qubit(state, assignment), (assignment.machine,), [bits])
-    return renormalize_branches(state, branches, names)
+    return renormalize_branches(state, branches, name)
 
 
 def run_protocols(configs: Sequence[ProtocolConfig]) -> list[Transcript]:
@@ -293,8 +300,9 @@ def run_protocols(configs: Sequence[ProtocolConfig]) -> list[Transcript]:
     their number: the report runs stacks of eight.  Each party's machine is
     measured as soon as it is cloned (``_clone_and_select``), so no register
     holds more than one machine wire.  The five-qubit states are checked as
-    one stack and the eleven pairs of every member as another.  Each
-    amplitude is one product whatever the stack size and whenever its
+    one stack and the eleven pairs of every member as another; a member's
+    name (its branches and params) is formatted only if one of its checks
+    fails.  Each amplitude is one product whatever the stack size and whenever its
     machine is measured, so every transcript equals the stages
     ``round_one``, ``branch_select``, ``round_two``, ``branch_select`` bit
     for bit.
@@ -303,16 +311,19 @@ def run_protocols(configs: Sequence[ProtocolConfig]) -> list[Transcript]:
         raise ValueError("all configs of one call must share apply_unitaries")
     if not configs:
         return []
-    names = [_run_name(config) for config in configs]
+
+    def name(i: int) -> str:
+        return _run_name(configs[i])
+
     w = prepare_w([config.params for config in configs])
     branch1 = [config.branch1 for config in configs]
-    selected1, p1 = _clone_and_select(w, ROUND_ONE_ASSIGNMENTS, branch1, names)
+    selected1, p1 = _clone_and_select(w, ROUND_ONE_ASSIGNMENTS, branch1, name)
     branch2 = [config.branch2 for config in configs]
-    selected2, p2 = _clone_and_select(selected1, ROUND_TWO_ASSIGNMENTS, branch2, names)
+    selected2, p2 = _clone_and_select(selected1, ROUND_TWO_ASSIGNMENTS, branch2, name)
     final = apply_local_unitaries(selected2) if configs[0].apply_unitaries else selected2
 
-    fives = five_qubit_state(final, names)
-    verdicts = pair_verdicts(final, names)
+    fives = five_qubit_state(final, name)
+    verdicts = pair_verdicts(final, name)
     return [
         Transcript(
             config=config,
@@ -353,7 +364,8 @@ def two_qubit_broadcasts(alpha_sqs: Sequence[float]) -> list[TwoQubitBroadcast]:
     """``two_qubit_broadcast`` of every point, in order, as one stack.
 
     Every point is validated before any is computed.  The stack then takes
-    two clonings, one partial-trace stack and one verdict stack.  Each
+    two clonings, one partial-trace stack and one verdict stack, whose
+    members are named only if a check fails.  Each
     amplitude is one product whatever the stack size, so every result
     equals the one-point pipeline bit for bit.
     """
@@ -370,11 +382,12 @@ def two_qubit_broadcasts(alpha_sqs: Sequence[float]) -> list[TwoQubitBroadcast]:
     for assignment in ROUND_ONE_ASSIGNMENTS[:2]:
         state = clone_qubit(state, assignment)
 
-    names = [
-        f"pair {key} at alpha_sq={alpha_sq!r}" for alpha_sq in alpha_sqs for key in _BROADCAST_KEYS
-    ]
-    rhos = partial_trace_stack(state, _BROADCAST_PAIRS, names)
-    verdicts = ppt_verdicts(rhos, names)
+    def name(member: int) -> str:
+        point, pair = divmod(member, len(_BROADCAST_KEYS))
+        return f"pair {_BROADCAST_KEYS[pair]} at alpha_sq={alpha_sqs[point]!r}"
+
+    rhos = partial_trace_stack(state, _BROADCAST_PAIRS, name)
+    verdicts = ppt_verdicts(rhos, name)
     return [
         TwoQubitBroadcast(alpha_sq=alpha_sq, nonlocal_verdict=nonlocal_v, local_verdict=local_v)
         for alpha_sq, nonlocal_v, local_v in zip(

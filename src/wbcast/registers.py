@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,11 @@ PARTIES = ("A", "B", "C")
 
 class InvariantViolation(Exception):
     """A constructed value failed one of its defining numerical invariants."""
+
+
+# Names member i of a stack in a failure message.  Names are read only when a
+# check fails, so a stack's maker passes a function, not a list of names.
+Naming = Callable[[int], str]
 
 
 @dataclass(frozen=True)
@@ -210,18 +215,20 @@ class DensityMatrix:
     _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        name = "wires " + StateVector._names(self.labels)
-        (checked,) = DensityMatrix.stack(self.labels, np.asarray(self.rho)[None], (name,))
+        (checked,) = DensityMatrix.stack(self.labels, np.asarray(self.rho)[None], self._name)
         for attr in ("labels", "rho", "_spectrum"):
             object.__setattr__(self, attr, getattr(checked, attr))
 
+    def _name(self, _member: int) -> str:
+        return "wires " + StateVector._names(self.labels)
+
     @classmethod
     def stack(
-        cls, labels: Sequence[QubitLabel], rhos: np.ndarray, names: Sequence[str]
+        cls, labels: Sequence[QubitLabel], rhos: np.ndarray, name: Naming
     ) -> list["DensityMatrix"]:
         """One state per matrix of a stack (shape (k, d, d)) on the same wires.
 
-        The stack is checked once by ``check_density_stack`` (``names[i]``
+        The stack is checked once by ``check_density_stack`` (``name(i)``
         naming member i), and each member keeps its row of the spectra, so
         no member is checked again.
         """
@@ -232,7 +239,7 @@ class DensityMatrix:
         dim = 2 ** len(labels)
         if rhos.ndim != 3 or rhos.shape[1:] != (dim, dim):
             raise ValueError(f"matrix shape {rhos.shape[1:]} does not fit {len(labels)} qubits")
-        spectra = check_density_stack(rhos, names)
+        spectra = check_density_stack(rhos, name)
         spectra.setflags(write=False)
         members = []
         for rho, spectrum in zip(rhos, spectra):
@@ -245,8 +252,7 @@ class DensityMatrix:
     def validate(self) -> np.ndarray:
         """Re-check Hermiticity, unit trace and positivity; raise on failure.
         Returns the ascending spectrum."""
-        name = "wires " + StateVector._names(self.labels)
-        return check_density_stack(self.rho[None], (name,))[0]
+        return check_density_stack(self.rho[None], self._name)[0]
 
     @property
     def n_qubits(self) -> int:
@@ -266,36 +272,29 @@ class DensityMatrix:
         return complex(self.rho[int(bra, 2) if bra else 0, int(ket, 2) if ket else 0])
 
 
-def require_names(names: Sequence[str] | None, k: int, reader: str) -> None:
-    """Refuse ``names`` unless it names each member of a stack of k."""
-    if names is None or len(names) != k:
-        raise ValueError(f"{reader} takes one name per member of a stack of {k}")
-
-
-def check_density_stack(rhos: np.ndarray, names: Sequence[str]) -> np.ndarray:
+def check_density_stack(rhos: np.ndarray, name: Naming) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a stack of density
     matrices (shape (k, d, d)) and return their ascending spectra (k, d).
 
-    The first failing member is named in the InvariantViolation, together
-    with the size of its deviation.  Every check is written so that NaN
-    fails it.
+    The first failing member is named, by ``name(i)``, in the
+    InvariantViolation, together with the size of its deviation.  Every
+    check is written so that NaN fails it.
     """
-    require_names(names, len(rhos), "check_density_stack")
     herm_dev = np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2)), axis=(-2, -1))
     for i in np.flatnonzero(~(herm_dev <= ATOL_ALGEBRA)):
         raise InvariantViolation(
-            f"density matrix of {names[i]} not Hermitian (dev {herm_dev[i]:.3e})"
+            f"density matrix of {name(i)} not Hermitian (dev {herm_dev[i]:.3e})"
         )
     trace_dev = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
     for i in np.flatnonzero(~(trace_dev <= ATOL_ALGEBRA)):
         raise InvariantViolation(
-            f"density matrix of {names[i]} trace off by {trace_dev[i]:.3e}"
+            f"density matrix of {name(i)} trace off by {trace_dev[i]:.3e}"
         )
     spectra = np.linalg.eigvalsh(rhos)
     low = np.min(spectra, axis=-1)
     for i in np.flatnonzero(~(low >= -ATOL_PSD)):
         raise InvariantViolation(
-            f"density matrix of {names[i]} has eigenvalue {low[i]:.3e} < -{ATOL_PSD}"
+            f"density matrix of {name(i)} has eigenvalue {low[i]:.3e} < -{ATOL_PSD}"
         )
     return spectra
 
@@ -406,29 +405,29 @@ def partial_trace(state: StateVector, keep: Iterable[QubitLabel]) -> DensityMatr
 
 
 def partial_traces(
-    state: StateVector, keep: Iterable[QubitLabel], names: Sequence[str]
+    state: StateVector, keep: Iterable[QubitLabel], name: Naming
 ) -> list[DensityMatrix]:
     """``partial_trace`` of each member of a stack of states, checked as one
-    stack (``names[i]`` naming member i); each state keeps its spectrum."""
+    stack (``name(i)`` naming member i); each state keeps its spectrum."""
     if state.amps.ndim != 2:
         raise ValueError("partial_traces takes a stack of states")
-    return DensityMatrix.stack(*_reduced_matrices(state, keep), names)
+    return DensityMatrix.stack(*_reduced_matrices(state, keep), name)
 
 
 def partial_trace_stack(
-    state: StateVector, keeps: Sequence[Iterable[QubitLabel]], names: Sequence[str]
+    state: StateVector, keeps: Sequence[Iterable[QubitLabel]], name: Naming
 ) -> np.ndarray:
     """Reduced density matrices over several kept sets of one size, each in
     canonical label order, stacked (shape (K, d, d)) and validated together.
 
     A stack of k states gives one point-major stack of shape (k*K, d, d):
-    member i*K + j is kept set j of state i.  ``names`` labels each member
+    member i*K + j is kept set j of state i, and ``name(i*K + j)`` names it
     in error messages.
     """
     rhos = [_reduced_matrices(state, keep)[1] for keep in keeps]
     d = rhos[0].shape[-1]
     stack = np.stack(rhos, axis=-3).reshape(-1, d, d)
-    check_density_stack(stack, names)
+    check_density_stack(stack, name)
     return stack
 
 

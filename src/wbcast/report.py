@@ -25,16 +25,18 @@ and each container without nested containers is one call of CPython's C
 encoder, whose item separator carries the newline and indentation.
 ``render(report, fmt, write)`` passes the text to ``write`` one record at a
 time, so the whole text is never held in memory.
+
+Standard modules that some runs never read are imported where they are
+used: ``fractions`` (which loads ``decimal``) in ``fraction_note``, ``csv``
+in the csv emitter and ``copy`` in ``report_schema``.  So a background run
+loads neither ``fractions`` nor ``csv``, and a json or text run no ``csv``.
 """
 
 from __future__ import annotations
 
-import copy
-import csv
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -126,8 +128,14 @@ def format15(x: float) -> str:
     return format(float(x), ".15g")
 
 
+# A report repeats few probabilities (p1 and p2 of a 150-draw sweep take 15
+# to 18 values); the bound keeps the cache's memory constant however many
+# runs a process makes.
+@lru_cache(maxsize=256)
 def fraction_note(x: float) -> str | None:
     """'p/q' when x is within 1e-12 of a rational with denominator <= 1000."""
+    from fractions import Fraction  # and decimal with it: only protocol runs need them
+
     frac = Fraction(x).limit_denominator(1000)
     if abs(float(frac) - x) < 1e-12:
         return f"{frac.numerator}/{frac.denominator}"
@@ -543,6 +551,8 @@ _REPORTS = {
 def report_schema(mode: str) -> dict:
     """The Draft-7 JSON schema every report of ``mode`` satisfies, as a fresh
     copy: editing it changes neither the checks nor a later caller's schema."""
+    import copy  # no report run publishes its schema
+
     return copy.deepcopy({"$schema": DRAFT7, **_REPORTS[mode].schema})
 
 
@@ -696,6 +706,8 @@ def _csv_cell(value) -> str:
 
 
 def _emit_csv(report, write: Write) -> None:
+    import csv  # json and text runs write no csv
+
     stream = _as_stream(report)
     writer = csv.writer(SimpleNamespace(write=write), lineterminator="\n")
     if stream.header["request"]["mode"] == "background":

@@ -12,7 +12,6 @@ comparing it with the published claims is the report's business.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -20,8 +19,8 @@ from .registers import (
     ATOL_PSD,
     DensityMatrix,
     InvariantViolation,
+    Naming,
     partial_transpose_stack,
-    require_names,
 )
 
 SEPARABLE = "SEPARABLE"
@@ -42,7 +41,7 @@ class PairVerdict:
     classification: str
 
 
-def _w_stack(pts: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def _w_stack(pts: np.ndarray, name: Naming) -> tuple[np.ndarray, np.ndarray]:
     """(W3, W4) of each partial transpose in a stack, real parts."""
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.stack((np.linalg.det(pts[:, :3, :3]), np.linalg.det(pts)), axis=-1)
@@ -57,14 +56,14 @@ def _w_stack(pts: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndar
     for flat in np.flatnonzero(~(np.abs(w.imag) <= ATOL_PSD)):  # NaN fails too
         member, witness = divmod(int(flat), 2)
         raise InvariantViolation(
-            f"W{witness + 3} of {names[member]} has imaginary residue "
+            f"W{witness + 3} of {name(member)} has imaginary residue "
             f"{w.imag.flat[flat]:.3e}"
         )
     return w[:, 0].real, w[:, 1].real
 
 
-def ppt_verdicts(rhos: np.ndarray, names: Sequence[str]) -> list[PairVerdict]:
-    """Classify a stack of two-qubit states (shape (k, 4, 4), ``names[i]``
+def ppt_verdicts(rhos: np.ndarray, name: Naming) -> list[PairVerdict]:
+    """Classify a stack of two-qubit states (shape (k, 4, 4), ``name(i)``
     naming member i in error messages) by the sign of each minimum partial
     transpose eigenvalue.  One stacked eigvalsh and two stacked determinants
     serve the whole stack.
@@ -74,10 +73,9 @@ def ppt_verdicts(rhos: np.ndarray, names: Sequence[str]) -> list[PairVerdict]:
     stack checked as Hermitian is Hermitian to the same tolerance and is
     not checked again.
     """
-    require_names(names, len(rhos), "ppt_verdicts")
     pts = partial_transpose_stack(rhos)
     eigs = np.linalg.eigvalsh(pts)
-    w3, w4 = _w_stack(pts, names)
+    w3, w4 = _w_stack(pts, name)
     # PT eigenvalues inside the PSD band count as zero, so separable states
     # report a negativity of exactly 0.0 rather than rounding noise.
     negs = np.where(eigs < ENTANGLEMENT_THRESHOLD, -eigs, 0.0).sum(axis=-1)
@@ -97,5 +95,4 @@ def ppt_verdict(rho: DensityMatrix) -> PairVerdict:
     """Classify a two-qubit state by the sign of its minimum PT eigenvalue."""
     if rho.n_qubits != 2:
         raise ValueError("separability tests apply to two-qubit states only")
-    name = "pair " + "".join(str(l) for l in rho.labels)
-    return ppt_verdicts(rho.rho[None], (name,))[0]
+    return ppt_verdicts(rho.rho[None], lambda _: "pair " + "".join(map(str, rho.labels)))[0]

@@ -48,6 +48,8 @@ def _amplitudes(triple) -> list[str]:
 @example((1e308, 1e308, 0.0), "UUU", "UUU")
 @example((math.nan, 1.0, 0.0), "UUU", "UUU")
 @example((5e-324, 1.0, 0.0), "DDD", "UDU")
+# Pair 25 has subnormal partial-transpose pivots here, as in branches below.
+@example((0.0, 1.9123937740639437e-154, 1.0), "UUD", "UUU")
 def test_single_exits_0_or_2(triple, branch1, branch2):
     argv = ["single", *_amplitudes(triple), "--branch1", branch1, "--branch2", branch2]
     assert _exit_code(argv) in (EXIT_OK, EXIT_INVALID_INPUT)

@@ -259,20 +259,20 @@ class TestStackFailuresNameTheirMember:
         stack = _valid_two_qubit_states(4)
         stack[2] = np.diag([0.6, 0.6, 0.1, -0.3]).astype(complex)
         with pytest.raises(InvariantViolation, match=r"pair 16 has eigenvalue -3\.000e-01"):
-            check_density_stack(np.stack(stack), self.NAMES)
+            check_density_stack(np.stack(stack), self.NAMES.__getitem__)
 
     def test_non_hermitian_member(self):
         stack = _valid_two_qubit_states(4)
         stack[1] = stack[1].copy()
         stack[1][0, 3] += 1e-6
         with pytest.raises(InvariantViolation, match=r"pair 58 not Hermitian \(dev 1\.000e-06\)"):
-            check_density_stack(np.stack(stack), self.NAMES)
+            check_density_stack(np.stack(stack), self.NAMES.__getitem__)
 
     def test_trace_member(self):
         stack = _valid_two_qubit_states(4)
         stack[3] = 2 * stack[3]
         with pytest.raises(InvariantViolation, match=r"pair 69 trace off by 1\.000e\+00"):
-            check_density_stack(np.stack(stack), self.NAMES)
+            check_density_stack(np.stack(stack), self.NAMES.__getitem__)
 
     def test_nan_member(self):
         # NaN fails every comparison, so each check is written to fail on it;
@@ -280,18 +280,18 @@ class TestStackFailuresNameTheirMember:
         stack = _valid_two_qubit_states(4)
         stack[3] = np.full((4, 4), np.nan, dtype=complex)
         with pytest.raises(InvariantViolation, match=r"pair 69 not Hermitian \(dev nan\)"):
-            check_density_stack(np.stack(stack), self.NAMES)
+            check_density_stack(np.stack(stack), self.NAMES.__getitem__)
 
     def test_valid_stack_returns_each_spectrum(self):
         stack = np.stack(_valid_two_qubit_states(4))
-        spectra = check_density_stack(stack, self.NAMES)
+        spectra = check_density_stack(stack, self.NAMES.__getitem__)
         for rho, spectrum in zip(stack, spectra):
             assert spectrum.tobytes() == np.linalg.eigvalsh(rho).tobytes()
 
 
 class TestStacksCarryTheirNames:
-    """A stack's readers take one name per member, so that any member's
-    failure can be named; without them they refuse the stack by name."""
+    """A stack's readers take a function naming each member, so that any
+    member's failure can be named; without one they refuse the stack by name."""
 
     NAMES = ("run 0", "run 1")
 
@@ -305,11 +305,57 @@ class TestStacksCarryTheirNames:
         return StateVector(singles[0].labels, np.stack([single.amps for single in singles]))
 
     @pytest.mark.parametrize("reader", [five_qubit_state, pair_verdicts])
-    @pytest.mark.parametrize("names", [None, ("run 0",), ("run 0", "run 1", "run 2")])
-    def test_stack_without_one_name_per_member_is_refused(self, final, reader, names):
-        with pytest.raises(ValueError, match=f"{reader.__name__} takes one name per member"):
-            reader(final, names)
+    def test_stack_without_a_naming_function_is_refused(self, final, reader):
+        with pytest.raises(ValueError, match=f"{reader.__name__} takes a naming function"):
+            reader(final)
 
     @pytest.mark.parametrize("reader", [five_qubit_state, pair_verdicts])
     def test_stack_with_its_names_gives_one_result_per_member(self, final, reader):
-        assert len(reader(final, self.NAMES)) == 2
+        assert len(reader(final, self.NAMES.__getitem__)) == 2
+
+    @pytest.mark.parametrize(
+        "reader, member",
+        [(five_qubit_state, "five-qubit state of run 1"), (pair_verdicts, "pair 15 of run 1")],
+        ids=["five_qubit_state", "pair_verdicts"],
+    )
+    def test_failing_member_is_named(self, final, reader, member):
+        amps = final.amps.copy()
+        amps[1] *= 2.0
+        with pytest.raises(InvariantViolation, match=f"^density matrix of {member} trace off"):
+            reader(StateVector(final.labels, amps), self.NAMES.__getitem__)
+
+
+def test_stack_makers_name_each_member(monkeypatch):
+    """The names a failing member of a protocol or grid stack would get."""
+    namings = []
+
+    def spying(reader):
+        def spy(state, keep, name):
+            namings.append(name)
+            return reader(state, keep, name)
+        return spy
+
+    for reader in ("partial_traces", "partial_trace_stack"):
+        monkeypatch.setattr(protocol, reader, spying(getattr(protocol, reader)))
+    uuu, ddu = BRANCH_ORDER[0], BRANCH_ORDER[6]
+    configs = [ProtocolConfig(TRIPLES[0], uuu, ddu), ProtocolConfig(TRIPLES[1], ddu, uuu)]
+    run_protocols(configs)
+    runs = []
+    for config in configs:
+        alpha, beta, gamma = config.params.as_tuple()
+        runs.append(
+            f"{config.branch1}/{config.branch2} at (alpha, beta, gamma)="
+            f"({alpha!r}, {beta!r}, {gamma!r})"
+        )
+    five, pairs = namings
+    assert [five(i) for i in range(2)] == [f"five-qubit state of {run}" for run in runs]
+    keys = [pair_key(pair) for pair in ALL_PAIRS]
+    assert [pairs(i) for i in range(22)] == [f"pair {key} of {run}" for run in runs for key in keys]
+
+    two_qubit_broadcasts([0.25, 0.1 + 0.2])
+    assert [namings[2](i) for i in range(4)] == [
+        "pair 15 at alpha_sq=0.25",
+        "pair 14 at alpha_sq=0.25",
+        "pair 15 at alpha_sq=0.30000000000000004",
+        "pair 14 at alpha_sq=0.30000000000000004",
+    ]

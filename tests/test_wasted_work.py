@@ -10,23 +10,29 @@ The background grid runs in stacks: two spectra per stack, not per point,
 with memory bounded by the stack size, not the grid size.  A report is
 streamed: each record is written as soon as its stack finishes, so neither
 the whole report nor its text is ever held, and a failure after the first
-record leaves a prefix of the report on stdout.  These counts repeat
-exactly, unlike timings.
+record leaves a prefix of the report on stdout.  A member of a stack is
+named only when one of its checks fails, each fraction note is computed once
+per value, and a run loads only the standard modules its report reads.
+These counts repeat exactly, unlike timings.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import fractions
 import itertools
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wbcast import protocol
+from wbcast import protocol, registers, separability
 from wbcast import report as report_module
 from wbcast.cli import main
 from wbcast.cloner import MachineBranch
@@ -48,10 +54,12 @@ from wbcast.report import (
     render,
     render_json,
     run_background,
+    fraction_note,
     run_sweep,
     sweep_params,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 UUU = MachineBranch.from_string("UUU")
 
 
@@ -266,3 +274,75 @@ def test_grid_is_validated_before_any_point_runs(monkeypatch, bad):
     with pytest.raises(ValueError, match="alpha_sq"):
         two_qubit_broadcasts(grid)
     assert clonings == []
+
+
+def test_members_are_named_only_when_a_check_fails(monkeypatch):
+    """Every reader that names a failing member gets a naming function, and
+    a report whose checks pass never calls one."""
+    reached: Counter[str] = Counter()
+    named = []
+
+    def counting(owner, reader: str, position: int):
+        wrapped = getattr(owner, reader)
+
+        def call(*args):
+            reached[reader] += 1
+            name = args[position]
+
+            def counted(i):
+                named.append((reader, i))
+                return name(i)
+
+            return wrapped(*args[:position], counted, *args[position + 1:])
+
+        monkeypatch.setattr(owner, reader, call)
+
+    counting(registers, "check_density_stack", 1)
+    counting(separability, "_w_stack", 1)
+    counting(protocol, "renormalize_branches", 2)
+    run_sweep(RunRequest(mode="sweep", sweep_count=2 * PROTOCOL_STACK_RUNS, seed=0))
+    run_background(RunRequest(mode="background", grid=BROADCAST_STACK_POINTS + 1))
+    assert set(reached) == {"check_density_stack", "_w_stack", "renormalize_branches"}
+    assert named == []
+
+
+def test_fraction_notes_are_computed_once_per_value(monkeypatch):
+    calls = []
+    limit_denominator = fractions.Fraction.limit_denominator
+
+    def counting_limit_denominator(self, *args):
+        calls.append(self)
+        return limit_denominator(self, *args)
+
+    monkeypatch.setattr(fractions.Fraction, "limit_denominator", counting_limit_denominator)
+    fraction_note.cache_clear()
+    run_sweep(RunRequest(mode="sweep", sweep_count=150, seed=0))
+    # p1 and p2 of seed 0 take 17 distinct values; one note for each of the
+    # 300 would take 300 calls.
+    assert len(calls) <= 17
+
+
+# Standard modules loaded only where a report reads them: fractions (with
+# decimal) for the probability notes of protocol runs, csv for csv output.
+# copy stays loaded for every run, since dataclasses imports it.
+LAZY_MODULES = ("csv", "decimal", "fractions")
+
+
+def test_each_run_loads_only_the_modules_its_report_reads():
+    probe = """
+import os, sys
+from wbcast.cli import main
+for argv in (
+    ["background", "--grid", "100"],
+    ["sweep", "--sweep", "2", "--format", "json"],
+    ["branches", "--alpha", "0.6", "--beta", "0.8", "--gamma", "0", "--format", "text"],
+):
+    assert main([*argv, "--out", os.devnull]) == 0
+    print(" ".join(m for m in sys.argv[1:] if m in sys.modules))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *LAZY_MODULES],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    assert done.stdout.splitlines() == ["", "decimal fractions", "decimal fractions"]
