@@ -17,6 +17,7 @@ from wbcast.registers import (
     StateVector,
     apply_to_targets,
     canonical_order,
+    check_density_stack,
     partial_trace,
     partial_trace_stack,
     partial_traces,
@@ -426,3 +427,25 @@ class TestDensityMatrix:
         assert eigs.tobytes() == rho.validate().tobytes()
         assert not eigs.flags.writeable
 
+
+class TestStackNames:
+    """A stack check takes a function naming each member, and calls it only
+    for the member whose check fails."""
+
+    @pytest.mark.parametrize(
+        "reader",
+        [check_density_stack, lambda rhos, name: DensityMatrix.stack((D(1),), rhos, name)],
+        ids=["check_density_stack", "DensityMatrix.stack"],
+    )
+    def test_only_the_failing_member_is_named(self, reader):
+        rhos = np.stack([np.eye(2, dtype=complex) / 2] * 3)
+        rhos[2] *= 2.0  # member 2 fails its trace check
+        asked = []
+
+        def name(i):
+            asked.append(i)
+            return f"member {i}"
+
+        with pytest.raises(InvariantViolation, match="^density matrix of member 2 trace off"):
+            reader(rhos, name)
+        assert asked == [2]

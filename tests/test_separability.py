@@ -19,6 +19,7 @@ from wbcast.separability import (
     PairVerdict,
     _w_stack,
     ppt_verdict,
+    ppt_verdicts,
 )
 
 from oracles import (
@@ -184,3 +185,17 @@ class TestVerdictFields:
             _w_stack(pts, names.__getitem__)
         w3, w4 = _w_stack(pts[:5], names.__getitem__)
         assert np.allclose(w3, 1 / 64) and np.allclose(w4, 1 / 256)
+
+    def test_only_the_failing_member_is_named(self):
+        # Member 2's W3 has an imaginary residue; only member 2 is named.
+        rhos = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+        rhos[2][0, 0] += 0.1j
+        asked = []
+
+        def name(i):
+            asked.append(i)
+            return f"m{i}"
+
+        with pytest.raises(InvariantViolation, match="^W3 of m2 has imaginary residue"):
+            ppt_verdicts(rhos, name)
+        assert asked == [2]
