@@ -280,7 +280,13 @@ def check_density_stack(rhos: np.ndarray, name: Naming) -> np.ndarray:
     InvariantViolation, together with the size of its deviation.  Every
     check is written so that NaN fails it.
     """
-    herm_dev = np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    # One complex temporary: the adjoints, overwritten by the differences.
+    # It is copied in the adjoints' order first, since a ufunc that reads the
+    # transposed view buffers it.
+    diff = rhos.swapaxes(-1, -2).copy()
+    np.conjugate(diff, out=diff)
+    np.subtract(rhos, diff, out=diff)
+    herm_dev = np.max(np.abs(diff), axis=(-2, -1))
     for i in np.flatnonzero(~(herm_dev <= ATOL_ALGEBRA)):
         raise InvariantViolation(
             f"density matrix of {name(i)} not Hermitian (dev {herm_dev[i]:.3e})"
@@ -394,7 +400,9 @@ def _reduced_matrices(
     stack = state.tensor()
     m = stack.transpose(axes).reshape(len(stack), 2 ** len(kept), -1)
     rho = m @ m.conj().swapaxes(-1, -2)
-    return kept, 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    # Symmetrised in the product's own memory: the same sum and halving.
+    np.add(rho, rho.conj().swapaxes(-1, -2), out=rho)
+    return kept, np.multiply(rho, 0.5, out=rho)
 
 
 def partial_trace(state: StateVector, keep: Iterable[QubitLabel]) -> DensityMatrix:

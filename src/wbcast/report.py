@@ -27,9 +27,11 @@ encoder, whose item separator carries the newline and indentation.
 time, so the whole text is never held in memory.
 
 Standard modules that some runs never read are imported where they are
-used: ``fractions`` (which loads ``decimal``) in ``fraction_note``, ``csv``
-in the csv emitter and ``copy`` in ``report_schema``.  So a background run
-loads neither ``fractions`` nor ``csv``, and a json or text run no ``csv``.
+used: ``json.encoder`` in ``_encoders``, which the JSON emitter builds on
+first use, ``csv`` in the csv emitter and ``copy`` in ``report_schema``.
+``fraction_note`` finds its p/q in integer arithmetic and imports nothing.
+So no run loads ``fractions`` or ``decimal``, a csv or text run no
+``json`` and a json or text run no ``csv``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Sequence
@@ -133,12 +134,21 @@ def format15(x: float) -> str:
 # runs a process makes.
 @lru_cache(maxsize=256)
 def fraction_note(x: float) -> str | None:
-    """'p/q' when x is within 1e-12 of a rational with denominator <= 1000."""
-    from fractions import Fraction  # and decimal with it: only protocol runs need them
+    """'p/q' when x is within 1e-12 of a rational with denominator <= 1000.
 
-    frac = Fraction(x).limit_denominator(1000)
-    if abs(float(frac) - x) < 1e-12:
-        return f"{frac.numerator}/{frac.denominator}"
+    That p/q is ``Fraction(x).limit_denominator(1000)``, found here in
+    integer arithmetic, so that no run loads ``fractions`` (nor ``decimal``
+    with it).  Within 1e-12 of x it is within 1/(2 q**2), so it is a
+    convergent of x's continued fraction (Legendre's theorem), and the
+    closest one with q <= 1000 is the last one.
+    """
+    n, d = x.as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while d and (q2 := q0 + (a := n // d) * q1) <= 1000:
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    if abs(p1 / q1 - x) < 1e-12:
+        return f"{p1}/{q1}"
     return None
 
 
@@ -618,11 +628,14 @@ def _not_serializable(value):
 
 
 @lru_cache(maxsize=None)
-def _scalar_encoder(depth: int):
+def _encoders(depth: int) -> tuple[Callable, Callable[[str], str]]:
     """CPython's C encoder for the items of a container nested ``depth``
-    levels deep: its item separator breaks the line and indents the next
-    item."""
-    return c_make_encoder(
+    levels deep, whose item separator breaks the line and indents the next
+    item, and its string encoder, for keys."""
+    # Imported on first use: csv and text runs write no JSON.
+    from json.encoder import c_make_encoder, encode_basestring_ascii
+
+    encoder = c_make_encoder(
         None,  # no circular-reference markers
         _not_serializable,
         encode_basestring_ascii,
@@ -633,6 +646,7 @@ def _scalar_encoder(depth: int):
         False,  # skipkeys
         False,  # allow_nan
     )
+    return encoder, encode_basestring_ascii
 
 
 def _dumps(value, depth: int) -> str:
@@ -641,18 +655,19 @@ def _dumps(value, depth: int) -> str:
     holding containers are walked here; every other container is one C
     encoder call, with the line breaks after its opening and before its
     closing bracket added here."""
+    encode, encode_key = _encoders(depth)
     if not isinstance(value, _CONTAINERS) or not value:
-        return "".join(_scalar_encoder(depth)(value, 0))
+        return "".join(encode(value, 0))
     is_dict = isinstance(value, dict)
     members = value.values() if is_dict else value
     indent = "\n" + "  " * (depth + 1)
     if any(isinstance(member, _CONTAINERS) for member in members):
         items = [_dumps(member, depth + 1) for member in members]
         if is_dict:
-            items = [f"{encode_basestring_ascii(key)}: {item}" for key, item in zip(value, items)]
+            items = [f"{encode_key(key)}: {item}" for key, item in zip(value, items)]
         inner = ("," + indent).join(items)
     else:
-        inner = "".join(_scalar_encoder(depth)(value, 0))[1:-1]
+        inner = "".join(encode(value, 0))[1:-1]
     opening, closing = "{}" if is_dict else "[]"
     return f"{opening}{indent}{inner}\n{'  ' * depth}{closing}"
 
@@ -670,8 +685,9 @@ def _written(emit: Callable[[object, Write], None], report, write: Write | None)
 
 def _emit_json(report, write: Write) -> None:
     stream = _as_stream(report)
+    encode_key = _encoders(1)[1]
     header = "".join(
-        f"\n  {encode_basestring_ascii(key)}: {_dumps(value, 1)},"
+        f"\n  {encode_key(key)}: {_dumps(value, 1)},"
         for key, value in stream.header.items()
     )
     write("{" + header + '\n  "runs": [')
