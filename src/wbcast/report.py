@@ -27,8 +27,8 @@ encoder, whose item separator carries the newline and indentation.
 time, so the whole text is never held in memory.
 
 Standard modules that some runs never read are imported where they are
-used: ``json.encoder`` in ``_encoders``, which the JSON emitter builds on
-first use, ``csv`` in the csv emitter and ``copy`` in ``report_schema``.
+used: ``json.encoder`` in ``_scalar_encoder``, which the JSON emitter builds
+on first use, ``csv`` in the csv emitter and ``copy`` in ``report_schema``.
 ``fraction_note`` finds its p/q in integer arithmetic and imports nothing.
 So no run loads ``fractions`` or ``decimal``, a csv or text run no
 ``json`` and a json or text run no ``csv``.
@@ -628,14 +628,14 @@ def _not_serializable(value):
 
 
 @lru_cache(maxsize=None)
-def _encoders(depth: int) -> tuple[Callable, Callable[[str], str]]:
+def _scalar_encoder(depth: int):
     """CPython's C encoder for the items of a container nested ``depth``
-    levels deep, whose item separator breaks the line and indents the next
-    item, and its string encoder, for keys."""
+    levels deep: its item separator breaks the line and indents the next
+    item."""
     # Imported on first use: csv and text runs write no JSON.
     from json.encoder import c_make_encoder, encode_basestring_ascii
 
-    encoder = c_make_encoder(
+    return c_make_encoder(
         None,  # no circular-reference markers
         _not_serializable,
         encode_basestring_ascii,
@@ -646,7 +646,6 @@ def _encoders(depth: int) -> tuple[Callable, Callable[[str], str]]:
         False,  # skipkeys
         False,  # allow_nan
     )
-    return encoder, encode_basestring_ascii
 
 
 def _dumps(value, depth: int) -> str:
@@ -655,19 +654,18 @@ def _dumps(value, depth: int) -> str:
     holding containers are walked here; every other container is one C
     encoder call, with the line breaks after its opening and before its
     closing bracket added here."""
-    encode, encode_key = _encoders(depth)
     if not isinstance(value, _CONTAINERS) or not value:
-        return "".join(encode(value, 0))
+        return "".join(_scalar_encoder(depth)(value, 0))
     is_dict = isinstance(value, dict)
     members = value.values() if is_dict else value
     indent = "\n" + "  " * (depth + 1)
     if any(isinstance(member, _CONTAINERS) for member in members):
         items = [_dumps(member, depth + 1) for member in members]
         if is_dict:
-            items = [f"{encode_key(key)}: {item}" for key, item in zip(value, items)]
+            items = [f"{_dumps(key, depth)}: {item}" for key, item in zip(value, items)]
         inner = ("," + indent).join(items)
     else:
-        inner = "".join(encode(value, 0))[1:-1]
+        inner = "".join(_scalar_encoder(depth)(value, 0))[1:-1]
     opening, closing = "{}" if is_dict else "[]"
     return f"{opening}{indent}{inner}\n{'  ' * depth}{closing}"
 
@@ -685,9 +683,8 @@ def _written(emit: Callable[[object, Write], None], report, write: Write | None)
 
 def _emit_json(report, write: Write) -> None:
     stream = _as_stream(report)
-    encode_key = _encoders(1)[1]
     header = "".join(
-        f"\n  {encode_key(key)}: {_dumps(value, 1)},"
+        f"\n  {_dumps(key, 1)}: {_dumps(value, 1)},"
         for key, value in stream.header.items()
     )
     write("{" + header + '\n  "runs": [')
