@@ -84,10 +84,35 @@ def canonical_order(labels: Iterable[QubitLabel]) -> tuple[QubitLabel, ...]:
     return tuple(sorted(labels, key=lambda l: l.sort_key))
 
 
+def _seal(array: np.ndarray) -> np.ndarray:
+    """Make an array this module has just made, and shares with no caller,
+    read-only in place."""
+    array.setflags(write=False)
+    return array
+
+
 def _freeze(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=complex)
-    out.setflags(write=False)
-    return out
+    """A read-only complex copy of a caller's array."""
+    return _seal(np.array(array, dtype=complex))
+
+
+# A stack of matrices this size or larger is symmetrised and checked for
+# Hermiticity one member at a time, so that those steps keep one member-sized
+# temporary rather than a stack-sized one.  The five-qubit states (32x32)
+# take this path.  The 4x4 pair and background stacks, whose stack-sized
+# temporaries are at most tens of KiB, keep one vectorised temporary each
+# and spare a Python call per member.
+_MEMBERWISE_DIM = 32
+
+
+def _parts(stack: np.ndarray) -> Iterable[np.ndarray]:
+    """A stack of matrices (shape (k, d, d)) as the views its member-wise
+    steps run over: the whole stack, or one member (shape (1, d, d)) at a
+    time from ``_MEMBERWISE_DIM`` on.  A stack of at most one member is
+    its own single part."""
+    if stack.shape[-1] < _MEMBERWISE_DIM or len(stack) < 2:
+        return (stack,)
+    return (stack[i:i + 1] for i in range(len(stack)))
 
 
 @dataclass(frozen=True)
@@ -228,19 +253,27 @@ class DensityMatrix:
     ) -> list["DensityMatrix"]:
         """One state per matrix of a stack (shape (k, d, d)) on the same wires.
 
-        The stack is checked once by ``check_density_stack`` (``name(i)``
-        naming member i), and each member keeps its row of the spectra, so
-        no member is checked again.
+        The stack is copied, so the caller's array stays theirs.  It is
+        checked once by ``check_density_stack`` (``name(i)`` naming member
+        i), and each member keeps its row of the spectra, so no member is
+        checked again.
         """
+        return cls._adopt(labels, _freeze(rhos), name)
+
+    @classmethod
+    def _adopt(
+        cls, labels: Sequence[QubitLabel], rhos: np.ndarray, name: Naming
+    ) -> list["DensityMatrix"]:
+        """``stack`` of a fresh complex stack that no caller holds: it is
+        made read-only in place, and its members are views of it."""
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels in register")
-        rhos = _freeze(rhos)
         dim = 2 ** len(labels)
         if rhos.ndim != 3 or rhos.shape[1:] != (dim, dim):
             raise ValueError(f"matrix shape {rhos.shape[1:]} does not fit {len(labels)} qubits")
-        spectra = check_density_stack(rhos, name)
-        spectra.setflags(write=False)
+        _seal(rhos)
+        spectra = _seal(check_density_stack(rhos, name))
         members = []
         for rho, spectrum in zip(rhos, spectra):
             member = object.__new__(cls)
@@ -278,15 +311,12 @@ def check_density_stack(rhos: np.ndarray, name: Naming) -> np.ndarray:
 
     The first failing member is named, by ``name(i)``, in the
     InvariantViolation, together with the size of its deviation.  Every
-    check is written so that NaN fails it.
+    check is written so that NaN fails it.  The Hermiticity deviation is
+    taken part by part (``_parts``): one member at a time for 32x32 and
+    larger members, the whole stack at once for smaller ones.  The spectra
+    are one stacked ``eigvalsh`` call.
     """
-    # One complex temporary: the adjoints, overwritten by the differences.
-    # It is copied in the adjoints' order first, since a ufunc that reads the
-    # transposed view buffers it.
-    diff = rhos.swapaxes(-1, -2).copy()
-    np.conjugate(diff, out=diff)
-    np.subtract(rhos, diff, out=diff)
-    herm_dev = np.max(np.abs(diff), axis=(-2, -1))
+    herm_dev = np.concatenate([_hermiticity_deviation(part) for part in _parts(rhos)])
     for i in np.flatnonzero(~(herm_dev <= ATOL_ALGEBRA)):
         raise InvariantViolation(
             f"density matrix of {name(i)} not Hermitian (dev {herm_dev[i]:.3e})"
@@ -303,6 +333,19 @@ def check_density_stack(rhos: np.ndarray, name: Naming) -> np.ndarray:
             f"density matrix of {name(i)} has eigenvalue {low[i]:.3e} < -{ATOL_PSD}"
         )
     return spectra
+
+
+def _hermiticity_deviation(rhos: np.ndarray) -> np.ndarray:
+    """max |rho - rho^dagger| of each matrix of a stack (shape (k, d, d)).
+
+    One complex temporary of the stack's size: the adjoints, overwritten by
+    the differences.  It is copied in the adjoints' order first, since a
+    ufunc that reads the transposed view buffers it.
+    """
+    diff = rhos.swapaxes(-1, -2).copy()
+    np.conjugate(diff, out=diff)
+    np.subtract(rhos, diff, out=diff)
+    return np.max(np.abs(diff), axis=(-2, -1))
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -395,13 +438,16 @@ def _reduced_matrices(
     state: StateVector, keep: Iterable[QubitLabel]
 ) -> tuple[tuple[QubitLabel, ...], np.ndarray]:
     """Kept labels in canonical order, and the symmetrised reduced matrix
-    over them of each state of the stack (shape (k, d, d))."""
+    over them of each state of the stack (shape (k, d, d)), a fresh writable
+    array that no caller holds."""
     kept, axes = _trace_plan(state.labels, frozenset(keep))
     stack = state.tensor()
     m = stack.transpose(axes).reshape(len(stack), 2 ** len(kept), -1)
     rho = m @ m.conj().swapaxes(-1, -2)
-    # Symmetrised in the product's own memory: the same sum and halving.
-    np.add(rho, rho.conj().swapaxes(-1, -2), out=rho)
+    # Symmetrised in the product's own memory, part by part (``_parts``):
+    # the same sum and halving for every entry.
+    for part in _parts(rho):
+        np.add(part, part.conj().swapaxes(-1, -2), out=part)
     return kept, np.multiply(rho, 0.5, out=rho)
 
 
@@ -416,10 +462,12 @@ def partial_traces(
     state: StateVector, keep: Iterable[QubitLabel], name: Naming
 ) -> list[DensityMatrix]:
     """``partial_trace`` of each member of a stack of states, checked as one
-    stack (``name(i)`` naming member i); each state keeps its spectrum."""
+    stack (``name(i)`` naming member i); each state keeps its spectrum.  The
+    states are views of the fresh reduced stack, made read-only in place
+    rather than copied."""
     if state.amps.ndim != 2:
         raise ValueError("partial_traces takes a stack of states")
-    return DensityMatrix.stack(*_reduced_matrices(state, keep), name)
+    return DensityMatrix._adopt(*_reduced_matrices(state, keep), name)
 
 
 def partial_trace_stack(

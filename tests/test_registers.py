@@ -345,6 +345,23 @@ class TestBatchAxis:
         with pytest.raises(ValueError, match=r"matrix shape \(4, 4\) does not fit 1 qubits"):
             DensityMatrix.stack((D(1),), rhos, names.__getitem__)
 
+    def test_32x32_members_equal_the_stacked_formula(self):
+        # Members this size are symmetrised one at a time, smaller ones as a
+        # stack; each entry is the same product, sum and halving either way.
+        rng = np.random.default_rng(43)
+        labels = tuple(D(i) for i in range(1, 7))
+        keep = set(labels[:5])
+        amps = np.stack([random_pure_state(rng, 2 ** len(labels)) for _ in range(self.K)])
+        states = partial_traces(StateVector(labels, amps), keep, str)
+        m = amps.reshape(self.K, 32, 2)
+        product = m @ m.conj().swapaxes(-1, -2)
+        want = 0.5 * (product + product.conj().swapaxes(-1, -2))
+        assert [s.rho.tobytes() for s in states] == [w.tobytes() for w in want]
+        for a, got in zip(amps, states, strict=True):
+            alone = partial_trace(StateVector(labels, a), keep)
+            assert got.rho.tobytes() == alone.rho.tobytes()
+            assert got.eigenvalues().tobytes() == alone.eigenvalues().tobytes()
+
     def test_failing_member_is_named_point_major(self):
         stack = self._stack()
         amps = stack.amps.copy()
@@ -449,3 +466,25 @@ class TestStackNames:
         with pytest.raises(InvariantViolation, match="^density matrix of member 2 trace off"):
             reader(rhos, name)
         assert asked == [2]
+
+    @pytest.mark.parametrize("dim", [4, 32], ids=["stacked", "member-wise"])
+    def test_the_first_non_hermitian_member_is_named(self, dim):
+        rhos = np.stack([np.eye(dim, dtype=complex) / dim] * 4)
+        rhos[1, 0, 1] = np.nan  # NaN fails the check too
+        rhos[3, 0, 1] = 1e-3
+        asked = []
+
+        def name(i):
+            asked.append(i)
+            return f"member {i}"
+
+        with pytest.raises(
+            InvariantViolation, match=r"^density matrix of member 1 not Hermitian \(dev nan\)$"
+        ):
+            check_density_stack(rhos, name)
+        assert asked == [1]
+        rhos[1, 0, 1] = 0.0
+        with pytest.raises(
+            InvariantViolation, match=r"^density matrix of member 3 not Hermitian \(dev 1.000e-03\)$"
+        ):
+            check_density_stack(rhos, name)

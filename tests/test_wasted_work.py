@@ -38,12 +38,13 @@ from wbcast.cloner import MachineBranch
 from wbcast.protocol import (
     ProtocolConfig,
     WParams,
+    five_qubit_state,
     run_protocol,
     run_protocols,
     two_qubit_broadcast,
     two_qubit_broadcasts,
 )
-from wbcast.registers import Operator
+from wbcast.registers import Operator, QubitLabel, StateVector
 from wbcast.report import (
     BROADCAST_STACK_POINTS,
     PROTOCOL_STACK_RUNS,
@@ -121,12 +122,32 @@ def test_sweep_memory_is_bounded_by_the_stack():
     finally:
         tracemalloc.stop()
     assert len(transcripts) == PROTOCOL_STACK_RUNS
-    # One report stack: about 368 KiB.  The bound fails a reduction that
-    # symmetrises into fresh temporaries (about 496 KiB), a density check
-    # that keeps a second stack-sized complex temporary (about 560 KiB), and
-    # an operator application that keeps its contraction alive while the
-    # result is copied (about 1.25 MiB).
-    assert peak - retained < 448 * 2**10
+    # One report stack: about 205 KiB on numpy 2.4.6, set by the pair
+    # reductions.  The bound fails a five-qubit reduction symmetrised as one
+    # stack (about 368 KiB) and a Hermiticity check of the 32x32 stack in one
+    # stack-sized temporary (about 240 KiB).
+    assert peak - retained < 220 * 2**10
+
+    # The five-qubit stage alone, which the pair reductions hide above.  Its
+    # peak is the product's two reordered factors (half a stack each) and the
+    # product: about 258 KiB.  The bound fails a stage that copies the fresh
+    # reduction into its states (about 283 KiB), and the two reverts above
+    # (about 450 and 322 KiB).
+    stack_bytes = PROTOCOL_STACK_RUNS * 32 * 32 * 16  # one 8x32x32 complex stack
+    nine = tuple(QubitLabel.data(i) for i in range(1, 10))
+    rng = np.random.default_rng(22)
+    re, im = rng.normal(size=(2, PROTOCOL_STACK_RUNS, 2**9))
+    amps = re + 1j * im
+    final = StateVector(nine, amps / np.linalg.norm(amps, axis=1, keepdims=True))
+    five_qubit_state(final, str)  # fills the wire-plan cache
+    tracemalloc.start()
+    try:
+        fives = five_qubit_state(final, str)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fives) == PROTOCOL_STACK_RUNS
+    assert peak < 2 * stack_bytes + 16 * 2**10
 
 
 def _streamed_peak(mode: str, **fields) -> int:
