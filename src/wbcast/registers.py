@@ -231,8 +231,9 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 class DensityMatrix:
     """Mixed state of a labeled register; Hermitian, unit trace, PSD by construction.
 
-    ``DensityMatrix(labels, rho)`` is ``DensityMatrix.stack`` of one matrix:
-    the one check computes the spectrum, and the state keeps it.
+    ``DensityMatrix(labels, rho)`` copies a caller's matrix, checks its
+    labels and shape, and adopts the copy as a stack of one; a fresh
+    reduction is adopted as it is.  The one check computes the spectrum.
     """
 
     labels: tuple[QubitLabel, ...]
@@ -240,38 +241,25 @@ class DensityMatrix:
     _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        (checked,) = DensityMatrix.stack(self.labels, np.asarray(self.rho)[None], self._name)
-        for attr in ("labels", "rho", "_spectrum"):
-            object.__setattr__(self, attr, getattr(checked, attr))
-
-    def _name(self, _member: int) -> str:
-        return "wires " + StateVector._names(self.labels)
-
-    @classmethod
-    def stack(
-        cls, labels: Sequence[QubitLabel], rhos: np.ndarray, name: Naming
-    ) -> list["DensityMatrix"]:
-        """One state per matrix of a stack (shape (k, d, d)) on the same wires.
-
-        The stack is copied, so the caller's array stays theirs.  It is
-        checked once by ``check_density_stack`` (``name(i)`` naming member
-        i), and each member keeps its row of the spectra, so no member is
-        checked again.
-        """
-        return cls._adopt(labels, _freeze(rhos), name)
-
-    @classmethod
-    def _adopt(
-        cls, labels: Sequence[QubitLabel], rhos: np.ndarray, name: Naming
-    ) -> list["DensityMatrix"]:
-        """``stack`` of a fresh complex stack that no caller holds: it is
-        made read-only in place, and its members are views of it."""
-        labels = tuple(labels)
+        rhos = np.array(np.asarray(self.rho)[None], dtype=complex)  # the caller's stays theirs
+        labels = tuple(self.labels)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels in register")
         dim = 2 ** len(labels)
-        if rhos.ndim != 3 or rhos.shape[1:] != (dim, dim):
+        if rhos.shape[1:] != (dim, dim):
             raise ValueError(f"matrix shape {rhos.shape[1:]} does not fit {len(labels)} qubits")
+        (checked,) = DensityMatrix._adopt(labels, rhos, _wires(labels))
+        for attr in ("labels", "rho", "_spectrum"):
+            object.__setattr__(self, attr, getattr(checked, attr))
+
+    @classmethod
+    def _adopt(
+        cls, labels: tuple[QubitLabel, ...], rhos: np.ndarray, name: Naming
+    ) -> list["DensityMatrix"]:
+        """One state per matrix of a fresh complex stack (shape (k, d, d)) that
+        no caller holds and whose labels and shape its maker has checked: the
+        stack is made read-only in place and checked once (``name(i)`` naming
+        member i), and each member is a view of it keeping its spectrum."""
         _seal(rhos)
         spectra = _seal(check_density_stack(rhos, name))
         members = []
@@ -285,7 +273,7 @@ class DensityMatrix:
     def validate(self) -> np.ndarray:
         """Re-check Hermiticity, unit trace and positivity; raise on failure.
         Returns the ascending spectrum."""
-        return check_density_stack(self.rho[None], self._name)[0]
+        return check_density_stack(self.rho[None], _wires(self.labels))[0]
 
     @property
     def n_qubits(self) -> int:
@@ -303,6 +291,11 @@ class DensityMatrix:
         if len(bra) != self.n_qubits or len(ket) != self.n_qubits:
             raise ValueError("bit string length does not match register size")
         return complex(self.rho[int(bra, 2) if bra else 0, int(ket, 2) if ket else 0])
+
+
+def _wires(labels: tuple[QubitLabel, ...]) -> Naming:
+    """Names a single state by its wires, as in "wires 1,5"."""
+    return lambda _member: "wires " + StateVector._names(labels)
 
 
 def check_density_stack(rhos: np.ndarray, name: Naming) -> np.ndarray:
@@ -452,10 +445,12 @@ def _reduced_matrices(
 
 
 def partial_trace(state: StateVector, keep: Iterable[QubitLabel]) -> DensityMatrix:
-    """Reduced density matrix over the kept wires, labels in canonical order."""
+    """Reduced density matrix over the kept wires, labels in canonical order:
+    the fresh reduction is adopted as a stack of one, not copied."""
     state._require_single("partial_trace")
     kept, rhos = _reduced_matrices(state, keep)
-    return DensityMatrix(kept, rhos[0])
+    (rho,) = DensityMatrix._adopt(kept, rhos, _wires(kept))
+    return rho
 
 
 def partial_traces(
@@ -478,13 +473,13 @@ def partial_trace_stack(
 
     A stack of k states gives one point-major stack of shape (k*K, d, d):
     member i*K + j is kept set j of state i, and ``name(i*K + j)`` names it
-    in error messages.
+    in error messages.  The checked stack is read-only.
     """
     rhos = [_reduced_matrices(state, keep)[1] for keep in keeps]
     d = rhos[0].shape[-1]
     stack = np.stack(rhos, axis=-3).reshape(-1, d, d)
     check_density_stack(stack, name)
-    return stack
+    return _seal(stack)
 
 
 def partial_transpose_stack(rhos: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ A report is made as a ``ReportStream``: its header, then each record as
 soon as its stack finishes, then its summary, tallied as the records pass.
 The report alone cuts the work into stacks: ``PROTOCOL_STACK_RUNS`` runs per
 ``run_protocols`` call and ``BROADCAST_STACK_POINTS`` grid points per
-``two_qubit_broadcasts`` call.  Each part is checked as it passes, the first
-record before any output, and the renderers write each part as it arrives,
+``two_qubit_broadcasts`` call.  The request is checked once, when it is
+made; each record and the summary are checked as they pass, the first record
+before any output, and the renderers write each part as it arrives,
 so memory does not grow with the number of runs.  ``collect`` reads a stream
 into the whole report, a plain JSON-compatible dictionary, which
 ``validate_report`` checks with the field whose schema ``report_schema``
@@ -28,7 +29,7 @@ time, so the whole text is never held in memory.
 
 Standard modules that some runs never read are imported where they are
 used: ``json.encoder`` in ``_scalar_encoder``, which the JSON emitter builds
-on first use, ``csv`` in the csv emitter and ``copy`` in ``report_schema``.
+on first use, and ``csv`` in the csv emitter.
 ``fraction_note`` finds its p/q in integer arithmetic and imports nothing.
 So no run loads ``fractions`` or ``decimal``, a csv or text run no
 ``json`` and a json or text run no ``csv``.
@@ -36,6 +37,7 @@ So no run loads ``fractions`` or ``decimal``, a csv or text run no
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -369,9 +371,9 @@ def collect(stream: ReportStream) -> dict:
     return {**stream.header, "runs": list(stream.runs), "summary": stream.summary()}
 
 
-# Runs carried through the pipeline per stack.  A member peaks at about
-# 53 KiB (0.41 MiB per stack of 8 under tracemalloc; the largest register,
-# ten wires right after a clone, is 16 KiB per array), so the stack size
+# Runs carried through the pipeline per stack.  One warm stack of 8 peaks
+# about 205 KiB above the about 225 KiB its transcripts retain (tracemalloc,
+# numpy 2.4.6), a peak set by the eleven pair reductions; so the stack size
 # bounds the memory of a report of any length.
 PROTOCOL_STACK_RUNS = 8
 
@@ -539,7 +541,6 @@ _HEADER_FIELDS = {
     "schema_version": const(SCHEMA_VERSION),
     "request": _REQUEST,
 }
-_HEADER = closed(_HEADER_FIELDS)
 _PROTOCOL_RUN = closed(
     _RUN_FIELDS, [name for name in _RUN_FIELDS if name not in _OPTIONAL_RUN_FIELDS]
 )
@@ -561,8 +562,6 @@ _REPORTS = {
 def report_schema(mode: str) -> dict:
     """The Draft-7 JSON schema every report of ``mode`` satisfies, as a fresh
     copy: editing it changes neither the checks nor a later caller's schema."""
-    import copy  # no report run publishes its schema
-
     return copy.deepcopy({"$schema": DRAFT7, **_REPORTS[mode].schema})
 
 
@@ -581,15 +580,14 @@ def _check(field: Field, value, *path: str | int):
 def _checked(
     request: RunRequest, records: Iterable[dict], summary: Callable[[], dict]
 ) -> ReportStream:
-    """The stream of a request's report, each part passed on once it passes
-    its check: the header now, each record as it is read (the first one
-    now), and the summary when it is asked for."""
+    """The stream of a request's report: the header as built (its request
+    passed its check when it was made), each record once it passes its check
+    as it is read (the first one now), and the summary when asked for."""
     header = {
         "version": __version__,
         "schema_version": SCHEMA_VERSION,
         "request": _request_block(request),
     }
-    _check(_HEADER, header)
     row = _ROW_FIELDS[request.mode]
 
     def runs() -> Iterator[dict]:

@@ -1,10 +1,10 @@
 """Who owns an array.
 
-A caller's array handed to ``StateVector``, ``DensityMatrix`` or
-``DensityMatrix.stack`` is copied, so writing to it afterwards changes no
-state.  ``partial_traces`` hands out views of its own fresh reduced stack,
-made read-only in place rather than copied; every array a transcript
-exposes is read-only all the same.
+A caller's array handed to ``StateVector`` or ``DensityMatrix`` is copied,
+so writing to it afterwards changes no state.  ``partial_trace`` and
+``partial_traces`` hand out views of their own fresh reductions, made
+read-only in place rather than copied, and leave the state they read as it
+was; every array a transcript exposes is read-only all the same.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 
 from wbcast.cloner import MachineBranch
 from wbcast.protocol import ProtocolConfig, WParams, run_protocols
-from wbcast.registers import DensityMatrix, QubitLabel, StateVector
+from wbcast.registers import DensityMatrix, QubitLabel, StateVector, partial_trace
 
 D = QubitLabel.data
 UUU = MachineBranch.from_string("UUU")
@@ -40,12 +40,16 @@ def test_a_density_matrix_copies_the_callers_matrix():
     assert not state.rho.flags.writeable
 
 
-def test_a_density_stack_copies_the_callers_stack():
-    rhos = np.stack([_rho(), _rho().conj()])
-    states = DensityMatrix.stack((D(1),), rhos, str)
-    rhos[:] = 0.0
-    assert [s.rho.tolist() for s in states] == [_rho().tolist(), _rho().conj().tolist()]
-    assert all(not s.rho.flags.writeable for s in states)
+def test_a_partial_trace_is_read_only_and_leaves_the_state_as_it_was():
+    amps = np.array([0.5, 0.5j, 0.5, 0.5j], dtype=complex)
+    state = StateVector((D(1), D(2)), amps)
+    rho = partial_trace(state, {D(2)})
+    assert rho.rho.tolist() == [[0.5, -0.5j], [0.5j, 0.5]]
+    for array in (rho.rho, rho.eigenvalues()):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert state.amps.tolist() == amps.tolist() == [0.5, 0.5j, 0.5, 0.5j]
 
 
 def test_every_array_of_a_transcript_is_read_only():

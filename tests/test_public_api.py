@@ -65,6 +65,9 @@ REMOVED_MEMBERS = (
     (protocol, "BROADCAST_STACK_POINTS"),
     # A stack's readers take a naming function, which has no length to check.
     (registers, "require_names"),
+    # A caller's matrix comes in through DensityMatrix(labels, rho) alone;
+    # a stack only as a reduction that registers has just made.
+    (DensityMatrix, "stack"),
 )
 
 

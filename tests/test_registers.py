@@ -333,17 +333,17 @@ class TestBatchAxis:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
         names = [f"state {i}" for i in range(self.K)]
-        states = DensityMatrix.stack((D(1), D(2)), rhos, names.__getitem__)
+        states = partial_traces(stack, {D(1), D(2)}, names.__getitem__)
         assert calls == [(self.K, 4, 4)]
         assert [s.eigenvalues().tobytes() for s in states] == [
             e.tobytes() for e in eigvalsh(rhos)
         ]
-        broken = rhos.copy()
+        broken = stack.amps.copy()
         broken[3] *= 2.0
         with pytest.raises(InvariantViolation, match="state 3 trace off"):
-            DensityMatrix.stack((D(1), D(2)), broken, names.__getitem__)
+            partial_traces(StateVector(self.LABELS, broken), {D(1), D(2)}, names.__getitem__)
         with pytest.raises(ValueError, match=r"matrix shape \(4, 4\) does not fit 1 qubits"):
-            DensityMatrix.stack((D(1),), rhos, names.__getitem__)
+            DensityMatrix((D(1),), rhos[0])
 
     def test_32x32_members_equal_the_stacked_formula(self):
         # Members this size are symmetrised one at a time, smaller ones as a
@@ -449,11 +449,7 @@ class TestStackNames:
     """A stack check takes a function naming each member, and calls it only
     for the member whose check fails."""
 
-    @pytest.mark.parametrize(
-        "reader",
-        [check_density_stack, lambda rhos, name: DensityMatrix.stack((D(1),), rhos, name)],
-        ids=["check_density_stack", "DensityMatrix.stack"],
-    )
+    @pytest.mark.parametrize("reader", [check_density_stack], ids=["check_density_stack"])
     def test_only_the_failing_member_is_named(self, reader):
         rhos = np.stack([np.eye(2, dtype=complex) / 2] * 3)
         rhos[2] *= 2.0  # member 2 fails its trace check
