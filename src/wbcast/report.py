@@ -32,19 +32,24 @@ used: ``json.encoder`` in ``_scalar_encoder``, which the JSON emitter builds
 on first use, and ``csv`` in the csv emitter.
 ``fraction_note`` finds its p/q in integer arithmetic and imports nothing.
 So no run loads ``fractions`` or ``decimal``, a csv or text run no
-``json`` and a json or text run no ``csv``.
+``json`` and a json or text run no ``csv``.  A sweep imports
+``numpy.random`` without the ``secrets`` module and OpenSSL
+(``_default_rng``).
 """
 
 from __future__ import annotations
 
 import copy
+import importlib
 import itertools
 import math
+import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import attrgetter
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -456,11 +461,37 @@ def stream_branches(request: RunRequest) -> ReportStream:
     return _protocol_stream(request, runs, total_check=True)
 
 
+def _default_rng(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, with ``numpy.random`` imported
+    without OpenSSL.
+
+    ``numpy.random.bit_generator`` runs ``from secrets import randbits`` at
+    import, only to seed generators that get no seed; ``secrets`` imports
+    ``hmac``, which loads ``_hashlib`` and with it libcrypto, about 3.5 MiB
+    of peak RSS.  Every sweep is seeded.  So the first import of
+    ``numpy.random`` sees a stand-in ``secrets`` whose ``randbits`` is
+    ``random.SystemRandom().getrandbits``, the function the real module
+    exports, and an unseeded generator still draws OS entropy.  The stand-in
+    is removed afterwards, so a later ``import secrets`` gets the real
+    module.  This assumes no other thread imports ``secrets`` during that
+    one import; the CLI has one thread.
+    """
+    if "numpy.random" not in sys.modules and "secrets" not in sys.modules:
+        stand_in = ModuleType("secrets")
+        stand_in.randbits = random.SystemRandom().getrandbits
+        sys.modules["secrets"] = stand_in
+        try:
+            importlib.import_module("numpy.random")
+        finally:
+            del sys.modules["secrets"]
+    return np.random.default_rng(seed)
+
+
 def _sweep_draws(seed: int) -> Iterator[WParams]:
     """Parameter triples drawn uniformly on the positive octant of the unit
     sphere, rejecting draws with any component below the floor, without
     end."""
-    rng = np.random.default_rng(seed)
+    rng = _default_rng(seed)
     while True:
         vec = np.abs(rng.standard_normal(3))
         norm = float(np.linalg.norm(vec))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -335,12 +336,23 @@ def test_fraction_notes_are_computed_once_per_value():
     assert fraction_note.cache_info().misses <= 17
 
 
+def _fresh_python(code: str, *argv: str) -> str:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True, timeout=120
+    )
+    return done.stdout.strip()
+
+
 # Standard modules loaded only where a report reads them: csv for csv
 # output and json for json output.  No run loads fractions or decimal, since
 # the probability notes are found in integer arithmetic.  copy stays loaded
-# for every run, since dataclasses imports it.
+# for every run, since dataclasses imports it.  No run loads secrets, hmac,
+# hashlib or _hashlib (OpenSSL): numpy.random takes secrets only to seed
+# unseeded generators, and every sweep is seeded.
 LAZY_MODULES = (
-    "csv", "decimal", "fractions", "json", "json.decoder", "json.encoder", "json.scanner"
+    "csv", "decimal", "fractions", "json", "json.decoder", "json.encoder", "json.scanner",
+    "secrets", "hmac", "hashlib", "_hashlib",
 )
 
 
@@ -352,14 +364,45 @@ from wbcast.cli import main
 assert main([*sys.argv[2:], "--out", os.devnull]) == 0
 print(" ".join(m for m in sys.argv[1].split() if m in sys.modules))
 """
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     for argv, expected in (
         (["branches", "--alpha", "0.6", "--beta", "0.8", "--gamma", "0", "--format", "text"], ""),
         (["background", "--grid", "100", "--format", "csv"], "csv"),
         (["sweep", "--sweep", "2", "--format", "json"], "json json.decoder json.encoder json.scanner"),
     ):
-        done = subprocess.run(
-            [sys.executable, "-c", probe, " ".join(LAZY_MODULES), *argv],
-            capture_output=True, text=True, env=env, check=True, timeout=120,
-        )
-        assert done.stdout.strip() == expected, argv
+        assert _fresh_python(probe, " ".join(LAZY_MODULES), *argv) == expected, argv
+
+
+def test_a_sweep_leaves_the_real_secrets_and_unseeded_generators_apart():
+    probe = """
+import os
+from wbcast.cli import main
+assert main(["sweep", "--sweep", "2", "--out", os.devnull]) == 0
+import secrets
+import numpy as np
+assert len(secrets.token_hex(16)) == 32
+assert secrets.compare_digest("wbcast", "wbcast") and not secrets.compare_digest("a", "b")
+draws = [np.random.default_rng().integers(2**63, size=2).tolist() for _ in range(2)]
+assert draws[0] != draws[1], draws
+print("ok")
+"""
+    assert _fresh_python(probe) == "ok"
+
+
+def test_a_sweep_writes_the_same_bytes_whether_secrets_was_loaded_or_not():
+    # Without a prior import, numpy.random is imported beside a stand-in
+    # secrets; with one, it takes the real module.
+    command = "sweep --sweep 150 --seed 0"
+    probe = """
+import contextlib, hashlib, io, sys
+if sys.argv[1] == "secrets":
+    import secrets
+from wbcast.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(sys.argv[2:]) == 0
+print(hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), "secrets" in sys.modules)
+"""
+    want = json.loads((SRC.parent / "perfbench" / "digests.json").read_text(encoding="utf-8"))[command]
+    plain = _fresh_python(probe, "plain", *command.split())
+    loaded = _fresh_python(probe, "secrets", *command.split())
+    assert (plain, loaded) == (f"{want} False", f"{want} True")
