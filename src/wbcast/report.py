@@ -28,19 +28,19 @@ encoder, whose item separator carries the newline and indentation.
 time, so the whole text is never held in memory.
 
 Standard modules that some runs never read are imported where they are
-used: ``json.encoder`` in ``_scalar_encoder``, which the JSON emitter builds
-on first use, and ``csv`` in the csv emitter.
+used: the C encoder's ``_json`` in ``_scalar_encoder``, which the JSON
+emitter builds on first use, and ``csv`` in the csv emitter.
 ``fraction_note`` finds its p/q in integer arithmetic and imports nothing.
-So no run loads ``fractions`` or ``decimal``, a csv or text run no
-``json`` and a json or text run no ``csv``.  A sweep imports
-``numpy.random`` without the ``secrets`` module and OpenSSL
-(``_default_rng``).
+So no run loads ``fractions``, ``decimal`` or the ``json`` package, and a
+json or text run no ``csv``.  A sweep loads only the five ``numpy.random``
+extension modules its seeded draws call, and neither the ``secrets`` module
+nor OpenSSL (``_default_rng``).
 """
 
 from __future__ import annotations
 
 import copy
-import importlib
+import importlib.util
 import itertools
 import math
 import random
@@ -462,29 +462,64 @@ def stream_branches(request: RunRequest) -> ReportStream:
 
 
 def _default_rng(seed: int) -> np.random.Generator:
-    """``np.random.default_rng(seed)``, with ``numpy.random`` imported
-    without OpenSSL.
+    """``np.random.default_rng(seed)``, built from the only ``numpy.random``
+    modules a seeded draw calls, without OpenSSL.
 
-    ``numpy.random.bit_generator`` runs ``from secrets import randbits`` at
-    import, only to seed generators that get no seed; ``secrets`` imports
-    ``hmac``, which loads ``_hashlib`` and with it libcrypto, about 3.5 MiB
-    of peak RSS.  Every sweep is seeded.  So the first import of
-    ``numpy.random`` sees a stand-in ``secrets`` whose ``randbits`` is
+    A seeded ``Generator(PCG64(seed))`` needs five of the package's ten
+    extension modules: ``_generator``, ``_pcg64``, ``bit_generator``,
+    ``_common`` and ``_bounded_integers``.  The package ``__init__`` also
+    loads ``mtrand``, ``_mt19937``, ``_philox``, ``_sfc64`` and ``_pickle``,
+    about 0.85 MiB of peak RSS.  So when ``numpy.random`` is not loaded yet,
+    the package is made from its spec without running its ``__init__``, and
+    only ``_generator`` is imported into it.  Its first lookup of a name it
+    lacks (``RandomState``, ``from numpy.random import *``, ``dir()``) runs
+    the real ``__init__``, which reuses the loaded submodules.
+
+    ``bit_generator`` runs ``from secrets import randbits`` at import, only
+    to seed generators that get no seed; ``secrets`` imports ``hmac``, which
+    loads ``_hashlib`` and with it libcrypto, about 3.5 MiB.  So that import
+    sees a stand-in ``secrets`` whose ``randbits`` is
     ``random.SystemRandom().getrandbits``, the function the real module
     exports, and an unseeded generator still draws OS entropy.  The stand-in
     is removed afterwards, so a later ``import secrets`` gets the real
-    module.  This assumes no other thread imports ``secrets`` during that
-    one import; the CLI has one thread.
+    module.  This assumes no other thread imports ``numpy.random`` or
+    ``secrets`` during that one import; the CLI has one thread.
     """
-    if "numpy.random" not in sys.modules and "secrets" not in sys.modules:
-        stand_in = ModuleType("secrets")
-        stand_in.randbits = random.SystemRandom().getrandbits
-        sys.modules["secrets"] = stand_in
+    if "numpy.random" not in sys.modules:
+        spec = importlib.util.find_spec("numpy.random")
+        package = importlib.util.module_from_spec(spec)
+        sys.modules["numpy.random"] = np.random = package
+        stand_in = "secrets" not in sys.modules
+        if stand_in:
+            secrets = sys.modules["secrets"] = ModuleType("secrets")
+            secrets.randbits = random.SystemRandom().getrandbits
         try:
-            importlib.import_module("numpy.random")
+            importlib.import_module("numpy.random._generator")
+        except BaseException:
+            # The submodules this import loaded go too, so that a later
+            # import of the package loads them again as its attributes.
+            for name in [name for name in sys.modules if name.startswith("numpy.random")]:
+                del sys.modules[name]
+            del np.random
+            raise
         finally:
-            del sys.modules["secrets"]
-    return np.random.default_rng(seed)
+            if stand_in:
+                del sys.modules["secrets"]
+
+        def complete() -> None:
+            del package.__getattr__, package.__dir__
+            spec.loader.exec_module(package)
+
+        def __getattr__(name: str):
+            complete()
+            return getattr(package, name)
+
+        def __dir__() -> list[str]:
+            complete()
+            return dir(package)
+
+        package.__getattr__, package.__dir__ = __getattr__, __dir__
+    return np.random._generator.Generator(np.random._pcg64.PCG64(seed))
 
 
 def _sweep_draws(seed: int) -> Iterator[WParams]:
@@ -661,10 +696,11 @@ def _scalar_encoder(depth: int):
     """CPython's C encoder for the items of a container nested ``depth``
     levels deep: its item separator breaks the line and indents the next
     item."""
-    # Imported on first use: csv and text runs write no JSON.
-    from json.encoder import c_make_encoder, encode_basestring_ascii
+    # Imported on first use: csv and text runs write no JSON.  These are the
+    # objects json.encoder re-exports, without loading the json package.
+    from _json import encode_basestring_ascii, make_encoder
 
-    return c_make_encoder(
+    return make_encoder(
         None,  # no circular-reference markers
         _not_serializable,
         encode_basestring_ascii,

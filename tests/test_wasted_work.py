@@ -345,14 +345,20 @@ def _fresh_python(code: str, *argv: str) -> str:
 
 
 # Standard modules loaded only where a report reads them: csv for csv
-# output and json for json output.  No run loads fractions or decimal, since
-# the probability notes are found in integer arithmetic.  copy stays loaded
-# for every run, since dataclasses imports it.  No run loads secrets, hmac,
-# hashlib or _hashlib (OpenSSL): numpy.random takes secrets only to seed
-# unseeded generators, and every sweep is seeded.
+# output.  JSON output takes the C encoder from _json, so no run loads the
+# json package.  No run loads fractions or decimal, since the probability
+# notes are found in integer arithmetic.  copy stays loaded for every run,
+# since dataclasses imports it.  No run loads secrets, hmac, hashlib or
+# _hashlib (OpenSSL): numpy.random takes secrets only to seed unseeded
+# generators, and every sweep is seeded.  A sweep draws from
+# Generator(PCG64(seed)) alone, so it loads none of the numpy.random modules
+# that only the package __init__ imports: mtrand, _mt19937, _philox, _sfc64
+# and _pickle.
 LAZY_MODULES = (
     "csv", "decimal", "fractions", "json", "json.decoder", "json.encoder", "json.scanner",
     "secrets", "hmac", "hashlib", "_hashlib",
+    "numpy.random.mtrand", "numpy.random._mt19937", "numpy.random._philox", "numpy.random._sfc64",
+    "numpy.random._pickle",
 )
 
 
@@ -367,18 +373,28 @@ print(" ".join(m for m in sys.argv[1].split() if m in sys.modules))
     for argv, expected in (
         (["branches", "--alpha", "0.6", "--beta", "0.8", "--gamma", "0", "--format", "text"], ""),
         (["background", "--grid", "100", "--format", "csv"], "csv"),
-        (["sweep", "--sweep", "2", "--format", "json"], "json json.decoder json.encoder json.scanner"),
+        (["sweep", "--sweep", "2", "--format", "json"], ""),
     ):
         assert _fresh_python(probe, " ".join(LAZY_MODULES), *argv) == expected, argv
 
 
 def test_a_sweep_leaves_the_real_secrets_and_unseeded_generators_apart():
+    # The sweep leaves numpy.random without its __init__ run; each use below
+    # must find the complete package.
     probe = """
-import os
+import os, pickle, sys
 from wbcast.cli import main
+from wbcast.report import _default_rng
 assert main(["sweep", "--sweep", "2", "--out", os.devnull]) == 0
-import secrets
 import numpy as np
+import numpy.random as r
+assert r is sys.modules["numpy.random"] is np.random
+from numpy.random import *
+assert 0 <= RandomState(0).rand() < 1
+assert np.random.bit_generator.SeedSequence and "default_rng" in dir(np.random)
+rng = _default_rng(3)
+assert pickle.loads(pickle.dumps(rng)).random() == rng.random()
+import secrets
 assert len(secrets.token_hex(16)) == 32
 assert secrets.compare_digest("wbcast", "wbcast") and not secrets.compare_digest("a", "b")
 draws = [np.random.default_rng().integers(2**63, size=2).tolist() for _ in range(2)]
@@ -389,13 +405,14 @@ print("ok")
 
 
 def test_a_sweep_writes_the_same_bytes_whether_secrets_was_loaded_or_not():
-    # Without a prior import, numpy.random is imported beside a stand-in
-    # secrets; with one, it takes the real module.
+    # Without a prior import, numpy.random is built from its generator
+    # modules beside a stand-in secrets; after one, the sweep takes the
+    # modules already loaded.
     command = "sweep --sweep 150 --seed 0"
     probe = """
-import contextlib, hashlib, io, sys
-if sys.argv[1] == "secrets":
-    import secrets
+import contextlib, hashlib, importlib, io, sys
+if sys.argv[1] != "none":
+    importlib.import_module(sys.argv[1])
 from wbcast.cli import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -403,6 +420,34 @@ with contextlib.redirect_stdout(out):
 print(hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), "secrets" in sys.modules)
 """
     want = json.loads((SRC.parent / "perfbench" / "digests.json").read_text(encoding="utf-8"))[command]
-    plain = _fresh_python(probe, "plain", *command.split())
-    loaded = _fresh_python(probe, "secrets", *command.split())
-    assert (plain, loaded) == (f"{want} False", f"{want} True")
+    for prelude, secrets_loaded in (("none", False), ("secrets", True), ("numpy.random", True)):
+        assert _fresh_python(probe, prelude, *command.split()) == f"{want} {secrets_loaded}", prelude
+
+
+def test_a_failed_generator_import_leaves_numpy_random_unloaded():
+    probe = """
+import sys
+import numpy as np
+from wbcast.report import _default_rng
+
+class Refuse:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "numpy.random._pcg64":
+            raise ImportError("refused")
+
+sys.meta_path.insert(0, Refuse)
+try:
+    _default_rng(0)
+except ImportError as error:
+    assert str(error) == "refused", error
+else:
+    raise AssertionError("the refused import was not re-raised")
+assert "numpy.random" not in sys.modules and "secrets" not in sys.modules
+assert "random" not in vars(np)
+sys.meta_path.remove(Refuse)
+assert np.random.default_rng(0).random() == _default_rng(0).random()
+assert np.random.bit_generator.SeedSequence
+print("ok")
+"""
+    assert _fresh_python(probe) == "ok"
