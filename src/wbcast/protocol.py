@@ -37,7 +37,6 @@ from .registers import (
     apply_to_targets,
     partial_trace,
     partial_trace_stack,
-    partial_traces,
 )
 from .separability import ENTANGLED, SEPARABLE, PairVerdict, ppt_verdicts
 # Not called here; kept because perfbench/layers.py traces wbcast.protocol.ppt_verdict.
@@ -217,28 +216,29 @@ def apply_local_unitaries(state: StateVector) -> StateVector:
     return state
 
 
-def _require_naming(name: Naming | None, reader: str) -> None:
-    if name is None:
-        raise ValueError(f"{reader} takes a naming function for a stack")
-
-
 def five_qubit_state(
     state: StateVector, name: Naming | None = None
 ) -> DensityMatrix | list[DensityMatrix]:
-    """Reduced state of qubits (1, 5, 8, 6, 9), the broadcast payload.
-
-    A stack of states gives one state per member, all checked as one stack
-    (``name(i)`` naming member i); each keeps its spectrum."""
+    """Reduced state of qubits (1, 5, 8, 6, 9), the broadcast payload: the
+    ``partial_trace`` of one state, or of a stack, whose member i it names
+    "five-qubit state of ``name(i)``"."""
     _require_register(state, _DATA_WIRES, "five_qubit_state")
-    if state.amps.ndim == 1:
-        return partial_trace(state, _FIVE_QUBIT_WIRES)
-    _require_naming(name, "five_qubit_state")
-    return partial_traces(state, _FIVE_QUBIT_WIRES, lambda i: f"five-qubit state of {name(i)}")
+    member_name = None if name is None else lambda i: f"five-qubit state of {name(i)}"
+    return partial_trace(state, _FIVE_QUBIT_WIRES, member_name)
 
 
 _PAIR_KEYS = tuple(pair_key(pair) for pair in ALL_PAIRS)
 _PAIR_LABELS = tuple((_D(a), _D(b)) for a, b in ALL_PAIRS)
 _PAIR_NAMES = tuple(f"pair {key}" for key in _PAIR_KEYS)
+
+
+def _pair_stack_verdicts(
+    state: StateVector, pairs: Sequence[tuple[QubitLabel, QubitLabel]], name: Naming
+) -> list[list[PairVerdict]]:
+    """Verdicts on ``pairs`` of each member of a stack, from one stack of all
+    their reductions; ``name(i * len(pairs) + j)`` names pair j of member i."""
+    verdicts = ppt_verdicts(partial_trace_stack(state, pairs, name), name)
+    return [verdicts[start:start + len(pairs)] for start in range(0, len(verdicts), len(pairs))]
 
 
 def pair_verdicts(
@@ -254,18 +254,14 @@ def pair_verdicts(
     _require_register(state, _DATA_WIRES, "pair_verdicts")
     if state.amps.ndim == 1:
         pair_name: Naming = _PAIR_NAMES.__getitem__
+    elif name is None:
+        raise ValueError("pair_verdicts takes a naming function for a stack")
     else:
-        _require_naming(name, "pair_verdicts")
-
         def pair_name(member: int) -> str:
             run, pair = divmod(member, len(_PAIR_NAMES))
             return f"{_PAIR_NAMES[pair]} of {name(run)}"
 
-    verdicts = ppt_verdicts(partial_trace_stack(state, _PAIR_LABELS, pair_name), pair_name)
-    runs = [
-        dict(zip(_PAIR_KEYS, verdicts[start:start + len(_PAIR_KEYS)]))
-        for start in range(0, len(verdicts), len(_PAIR_KEYS))
-    ]
+    runs = [dict(zip(_PAIR_KEYS, v)) for v in _pair_stack_verdicts(state, _PAIR_LABELS, pair_name)]
     return runs[0] if state.amps.ndim == 1 else runs
 
 
@@ -386,12 +382,10 @@ def two_qubit_broadcasts(alpha_sqs: Sequence[float]) -> list[TwoQubitBroadcast]:
         point, pair = divmod(member, len(_BROADCAST_KEYS))
         return f"pair {_BROADCAST_KEYS[pair]} at alpha_sq={alpha_sqs[point]!r}"
 
-    rhos = partial_trace_stack(state, _BROADCAST_PAIRS, name)
-    verdicts = ppt_verdicts(rhos, name)
     return [
         TwoQubitBroadcast(alpha_sq=alpha_sq, nonlocal_verdict=nonlocal_v, local_verdict=local_v)
-        for alpha_sq, nonlocal_v, local_v in zip(
-            alpha_sqs, verdicts[0::2], verdicts[1::2], strict=True
+        for alpha_sq, (nonlocal_v, local_v) in zip(
+            alpha_sqs, _pair_stack_verdicts(state, _BROADCAST_PAIRS, name), strict=True
         )
     ]
 

@@ -5,7 +5,8 @@ flat, with the first listed label as the most significant bit, so a basis
 string written in register order maps directly onto an array index.  Canonical
 storage order is ascending data label with machine wires last; any other
 printed ordering is a view produced by ``permuted``, never a second storage
-format.  A single state runs through the same wire plans as a stack of one.
+format.  A single state runs through the same wire plans and reductions as
+a stack of one; a reader of a stack names its members through a ``Naming``.
 All values are immutable after construction.
 """
 
@@ -120,11 +121,11 @@ class StateVector:
     """Pure state of a labeled register, stored as a flat amplitude array.
 
     ``amps`` has shape ``(2**n,)``, or ``(k, 2**n)`` for a stack of k states
-    on the same wires.  ``apply_to_targets``, ``partial_trace_stack``,
-    ``partial_traces`` and ``project_machines`` keep that leading batch axis
-    in front, and run a single state as the stack of one.  The per-state
-    readers (``permuted``, ``amplitude``, ``partial_trace``,
-    ``measure_machines``) take a single state and reject a stack by name.
+    on the same wires.  ``apply_to_targets``, ``partial_trace``,
+    ``partial_trace_stack`` and ``project_machines`` keep that leading batch
+    axis in front, and run a single state as the stack of one.  The
+    per-state readers (``permuted``, ``amplitude``, ``measure_machines``)
+    take a single state and reject a stack by name.
     """
 
     labels: tuple[QubitLabel, ...]
@@ -444,25 +445,19 @@ def _reduced_matrices(
     return kept, np.multiply(rho, 0.5, out=rho)
 
 
-def partial_trace(state: StateVector, keep: Iterable[QubitLabel]) -> DensityMatrix:
-    """Reduced density matrix over the kept wires, labels in canonical order:
-    the fresh reduction is adopted as a stack of one, not copied."""
-    state._require_single("partial_trace")
+def partial_trace(
+    state: StateVector, keep: Iterable[QubitLabel], name: Naming | None = None
+) -> DensityMatrix | list[DensityMatrix]:
+    """Reduced density matrix over the kept wires, labels in canonical order,
+    named by its wires.  A stack of states gives one state per member, checked
+    as one stack (``name(i)`` naming member i).  Each state keeps its spectrum
+    and is a view of the fresh reduction, made read-only in place, not copied."""
+    single = state.amps.ndim == 1
+    if not single and name is None:
+        raise ValueError("partial_trace takes a naming function for a stack")
     kept, rhos = _reduced_matrices(state, keep)
-    (rho,) = DensityMatrix._adopt(kept, rhos, _wires(kept))
-    return rho
-
-
-def partial_traces(
-    state: StateVector, keep: Iterable[QubitLabel], name: Naming
-) -> list[DensityMatrix]:
-    """``partial_trace`` of each member of a stack of states, checked as one
-    stack (``name(i)`` naming member i); each state keeps its spectrum.  The
-    states are views of the fresh reduced stack, made read-only in place
-    rather than copied."""
-    if state.amps.ndim != 2:
-        raise ValueError("partial_traces takes a stack of states")
-    return DensityMatrix._adopt(*_reduced_matrices(state, keep), name)
+    members = DensityMatrix._adopt(kept, rhos, _wires(kept) if single else name)
+    return members[0] if single else members
 
 
 def partial_trace_stack(

@@ -1,10 +1,10 @@
 """Who owns an array.
 
 A caller's array handed to ``StateVector`` or ``DensityMatrix`` is copied,
-so writing to it afterwards changes no state.  ``partial_trace`` and
-``partial_traces`` hand out views of their own fresh reductions, made
-read-only in place rather than copied, and leave the state they read as it
-was; every array a transcript exposes is read-only all the same.
+so writing to it afterwards changes no state.  ``partial_trace`` hands out
+views of its own fresh reduction, of one state or of a stack, made read-only
+in place rather than copied, and leaves the state it read as it was; every
+array a transcript exposes is read-only all the same.
 """
 
 from __future__ import annotations

@@ -525,23 +525,6 @@ class TestPairVerdicts:
                     assert verdict.w4 == 0.0, where
                     assert verdict.classification == SEPARABLE, where
 
-    def test_swap_symmetry_of_first_two_components(self):
-        # Exchanging the first two amplitudes is the same as relabeling wires
-        # 2<->3, 5<->6, 8<->9 throughout; that relabeling maps the dressing
-        # stage onto itself, so it holds for the final state too.
-        base = _final_state(WParams(0.48, 0.6, 0.64))
-        swapped = _final_state(WParams(0.6, 0.48, 0.64))
-        checks = [
-            ((5, 8), (6, 9)),
-            ((1, 5), (1, 6)),
-            ((6, 8), (5, 9)),
-            ((2, 5), (3, 6)),
-        ]
-        for orig_pair, mapped_pair in checks:
-            rho_a = partial_trace(base, {D(orig_pair[0]), D(orig_pair[1])}).rho
-            rho_b = partial_trace(swapped, {D(mapped_pair[0]), D(mapped_pair[1])}).rho
-            assert np.max(np.abs(rho_a - rho_b)) < 1e-12
-
 
 class TestTranscript:
     def test_full_run_at_uniform(self):

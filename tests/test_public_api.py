@@ -68,6 +68,8 @@ REMOVED_MEMBERS = (
     # A caller's matrix comes in through DensityMatrix(labels, rho) alone;
     # a stack only as a reduction that registers has just made.
     (DensityMatrix, "stack"),
+    # partial_trace reads a state or a stack of them.
+    (registers, "partial_traces"),
 )
 
 

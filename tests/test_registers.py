@@ -20,7 +20,6 @@ from wbcast.registers import (
     check_density_stack,
     partial_trace,
     partial_trace_stack,
-    partial_traces,
     partial_transpose_stack,
 )
 from wbcast.cloner import bh_isometry
@@ -308,15 +307,14 @@ class TestBatchAxis:
             stack.permuted(tuple(reversed(self.LABELS)))
         with pytest.raises(ValueError, match="amplitude takes a single state"):
             stack.amplitude("0000")
-        with pytest.raises(ValueError, match="partial_trace takes a single state"):
+        # partial_trace reads a stack too, but only with names for its members.
+        with pytest.raises(ValueError, match="partial_trace takes a naming function for a stack"):
             partial_trace(stack, {D(1), D(5)})
-        with pytest.raises(ValueError, match="takes a stack"):
-            partial_traces(StateVector(self.LABELS, stack.amps[0]), {D(1)}, ["state 0"].__getitem__)
 
     def test_partial_traces_equal_each_member_alone(self):
         stack = self._stack()
         keep = {D(5), D(1), M("A", 1)}
-        states = partial_traces(stack, keep, [f"state {i}" for i in range(self.K)].__getitem__)
+        states = partial_trace(stack, keep, [f"state {i}" for i in range(self.K)].__getitem__)
         assert len(states) == self.K
         for amps, got in zip(stack.amps, states, strict=True):
             alone = partial_trace(StateVector(self.LABELS, amps), keep)
@@ -324,6 +322,16 @@ class TestBatchAxis:
             assert got.rho.tobytes() == alone.rho.tobytes()
             assert got.eigenvalues().tobytes() == alone.eigenvalues().tobytes()
             assert not got.rho.flags.writeable and not got.eigenvalues().flags.writeable
+
+    def test_one_state_equals_the_stack_of_one(self):
+        amps = self._stack().amps[0]
+        keep = {D(2), M("A", 1)}
+        alone = partial_trace(StateVector(self.LABELS, amps), keep)
+        (member,) = partial_trace(StateVector(self.LABELS, amps[None]), keep, str)
+        assert isinstance(alone, DensityMatrix)
+        assert member.labels == alone.labels == (D(2), M("A", 1))
+        assert member.rho.tobytes() == alone.rho.tobytes()
+        assert member.eigenvalues().tobytes() == alone.eigenvalues().tobytes()
 
     def test_density_stack_checks_once_and_names_the_failing_member(self, monkeypatch):
         stack = self._stack()
@@ -333,7 +341,7 @@ class TestBatchAxis:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
         names = [f"state {i}" for i in range(self.K)]
-        states = partial_traces(stack, {D(1), D(2)}, names.__getitem__)
+        states = partial_trace(stack, {D(1), D(2)}, names.__getitem__)
         assert calls == [(self.K, 4, 4)]
         assert [s.eigenvalues().tobytes() for s in states] == [
             e.tobytes() for e in eigvalsh(rhos)
@@ -341,7 +349,7 @@ class TestBatchAxis:
         broken = stack.amps.copy()
         broken[3] *= 2.0
         with pytest.raises(InvariantViolation, match="state 3 trace off"):
-            partial_traces(StateVector(self.LABELS, broken), {D(1), D(2)}, names.__getitem__)
+            partial_trace(StateVector(self.LABELS, broken), {D(1), D(2)}, names.__getitem__)
         with pytest.raises(ValueError, match=r"matrix shape \(4, 4\) does not fit 1 qubits"):
             DensityMatrix((D(1),), rhos[0])
 
@@ -352,7 +360,7 @@ class TestBatchAxis:
         labels = tuple(D(i) for i in range(1, 7))
         keep = set(labels[:5])
         amps = np.stack([random_pure_state(rng, 2 ** len(labels)) for _ in range(self.K)])
-        states = partial_traces(StateVector(labels, amps), keep, str)
+        states = partial_trace(StateVector(labels, amps), keep, str)
         m = amps.reshape(self.K, 32, 2)
         product = m @ m.conj().swapaxes(-1, -2)
         want = 0.5 * (product + product.conj().swapaxes(-1, -2))

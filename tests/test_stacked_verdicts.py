@@ -304,9 +304,13 @@ class TestStacksCarryTheirNames:
             singles.append(apply_local_unitaries(selected2))
         return StateVector(singles[0].labels, np.stack([single.amps for single in singles]))
 
-    @pytest.mark.parametrize("reader", [five_qubit_state, pair_verdicts])
-    def test_stack_without_a_naming_function_is_refused(self, final, reader):
-        with pytest.raises(ValueError, match=f"{reader.__name__} takes a naming function"):
+    @pytest.mark.parametrize(
+        "reader, refuser",
+        [(five_qubit_state, "partial_trace"), (pair_verdicts, "pair_verdicts")],
+        ids=["five_qubit_state", "pair_verdicts"],
+    )
+    def test_stack_without_a_naming_function_is_refused(self, final, reader, refuser):
+        with pytest.raises(ValueError, match=f"{refuser} takes a naming function"):
             reader(final)
 
     @pytest.mark.parametrize("reader", [five_qubit_state, pair_verdicts])
@@ -335,7 +339,7 @@ def test_stack_makers_name_each_member(monkeypatch):
             return reader(state, keep, name)
         return spy
 
-    for reader in ("partial_traces", "partial_trace_stack"):
+    for reader in ("partial_trace", "partial_trace_stack"):
         monkeypatch.setattr(protocol, reader, spying(getattr(protocol, reader)))
     uuu, ddu = BRANCH_ORDER[0], BRANCH_ORDER[6]
     configs = [ProtocolConfig(TRIPLES[0], uuu, ddu), ProtocolConfig(TRIPLES[1], ddu, uuu)]
