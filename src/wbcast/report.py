@@ -1,17 +1,19 @@
 """Report assembly, serialization and schema validation.
 
-A report is made as a ``ReportStream``: its header, then each record as
-soon as its stack finishes, then its summary, tallied as the records pass.
-The report alone cuts the work into stacks: ``PROTOCOL_STACK_RUNS`` runs per
-``run_protocols`` call and ``BROADCAST_STACK_POINTS`` grid points per
-``two_qubit_broadcasts`` call.  The request is checked once, when it is
-made; each record and the summary are checked as they pass, the first record
-before any output, and the renderers write each part as it arrives,
-so memory does not grow with the number of runs.  ``collect`` reads a stream
-into the whole report, a plain JSON-compatible dictionary, which
-``validate_report`` checks with the field whose schema ``report_schema``
-publishes.  Each run record compares its pairs with the paper's claims:
-``broadcast_ok`` if none differs.
+A runner returns its report as a dictionary with the whole report's keys:
+the header, then ``runs``, a one-pass iterator that makes each record as
+soon as its stack finishes, then ``summary``, tallied as the records pass
+and complete once ``runs`` is spent.  The report alone cuts the work into
+stacks: ``PROTOCOL_STACK_RUNS`` runs per ``run_protocols`` call and
+``BROADCAST_STACK_POINTS`` grid points per ``two_qubit_broadcasts`` call.
+The request is checked once, when it is made; each record is checked as it
+passes, the first one before the runner returns, and the summary after the
+last one; the renderers write each part as it arrives, so memory does not
+grow with the number of runs.  ``collect`` reads the runs into a list: the
+whole report, a plain JSON-compatible dictionary, which ``validate_report``
+checks with the field whose schema ``report_schema`` publishes.  Each run
+record compares its pairs with the paper's claims: ``broadcast_ok`` if none
+differs.
 
 Every float is rounded to 15 significant digits where its record is built,
 in one pass per record's float list, so identical requests (and identical
@@ -348,32 +350,10 @@ def _run_record(index: int, transcript: Transcript) -> dict:
     return record
 
 
-@dataclass(frozen=True)
-class ReportStream:
-    """A report as it is made, checked part by part.
-
-    ``header`` holds the version, the schema version and the request.
-    ``runs`` yields each record once it is made and has passed its check.
-    The first record was made, and checked, when the stream was, so a
-    failure there comes before any output.  ``summary()`` gives the checked
-    summary once ``runs`` is spent; a background summary is ready at once,
-    because every background csv row repeats its interval.
-    """
-
-    header: dict
-    runs: Iterator[dict]
-    summary: Callable[[], dict]
-
-    @classmethod
-    def of(cls, report: dict) -> "ReportStream":
-        """A whole report as a stream, unchecked."""
-        header = {key: value for key, value in report.items() if key not in ("runs", "summary")}
-        return cls(header, iter(report["runs"]), lambda: report["summary"])
-
-
-def collect(stream: ReportStream) -> dict:
-    """The whole report of a stream, read to its end."""
-    return {**stream.header, "runs": list(stream.runs), "summary": stream.summary()}
+def collect(report: dict) -> dict:
+    """A runner's report with its runs read into a list, which completes its
+    summary: the whole report."""
+    return {**report, "runs": list(report["runs"])}
 
 
 # Runs carried through the pipeline per stack.  One warm stack of 8 peaks
@@ -395,17 +375,17 @@ def _by_stack(run: Callable[[list], Iterable], items: Iterator, size: int) -> It
         yield from run(stack)
 
 
-def _protocol_stream(
+def _protocol_report(
     request: RunRequest,
     runs: Iterable[tuple[WParams, MachineBranch, MachineBranch]],
     total_check: bool = False,
-) -> ReportStream:
+) -> dict:
     """The report of the protocol run on each (params, branch1, branch2).
 
     The summary is tallied as the records pass, and each transcript is
     dropped once recorded, so at most one stack of them is alive.  With
     ``total_check``, the unrounded joint probabilities, summed left to
-    right, must come to 1 before the summary is given, and the summary
+    right, must come to 1 once the last record has passed, and the summary
     reports their total: sum() of floats is compensated on Python >= 3.12,
     which would change it.
     """
@@ -439,26 +419,23 @@ def _protocol_stream(
                 tally["entangled_count"] += row["classification"] == ENTANGLED
             total += transcript.p1 * transcript.p2
             yield record
-
-    def finish() -> dict:
         if total_check:
             if not abs(total - 1.0) <= 1e-10:
                 raise InvariantViolation(
                     f"branch probabilities sum to {total!r}, expected 1 within 1e-10"
                 )
             summary["probability_total"] = _rounded(("probability_total",), (total,))[0]
-        return summary
 
-    return _checked(request, records(), finish)
-
-
-def stream_single(request: RunRequest) -> ReportStream:
-    return _protocol_stream(request, [(request.params, request.branch1, request.branch2)])
+    return _checked(request, records(), summary)
 
 
-def stream_branches(request: RunRequest) -> ReportStream:
+def stream_single(request: RunRequest) -> dict:
+    return _protocol_report(request, [(request.params, request.branch1, request.branch2)])
+
+
+def stream_branches(request: RunRequest) -> dict:
     runs = ((request.params, b1, b2) for b1 in BRANCH_ORDER for b2 in BRANCH_ORDER)
-    return _protocol_stream(request, runs, total_check=True)
+    return _protocol_report(request, runs, total_check=True)
 
 
 def _default_rng(seed: int) -> np.random.Generator:
@@ -543,13 +520,13 @@ def sweep_params(count: int, seed: int) -> list[WParams]:
     return list(itertools.islice(_sweep_draws(seed), count))
 
 
-def stream_sweep(request: RunRequest) -> ReportStream:
+def stream_sweep(request: RunRequest) -> dict:
     branch = BRANCH_ORDER[0]
     draws = itertools.islice(_sweep_draws(request.seed), request.sweep_count)
-    return _protocol_stream(request, ((params, branch, branch) for params in draws))
+    return _protocol_report(request, ((params, branch, branch) for params in draws))
 
 
-def stream_background(request: RunRequest) -> ReportStream:
+def stream_background(request: RunRequest) -> dict:
     bounds = ("lower", "upper")
     # Found before the first row: every csv row repeats it.
     summary = {
@@ -568,10 +545,10 @@ def stream_background(request: RunRequest) -> ReportStream:
             cells = (*numbers, nonlocal_verdict.classification, local_verdict.classification)
             yield dict(zip(_BACKGROUND_FIELDS, cells))
 
-    return _checked(request, rows(), lambda: summary)
+    return _checked(request, rows(), summary)
 
 
-# Each mode's runner: the stream of its report.
+# Each mode's runner: its report, with the runs streamed.
 RUNNERS = {
     "single": stream_single,
     "branches": stream_branches,
@@ -643,28 +620,28 @@ def _check(field: Field, value, *path: str | int):
     return value
 
 
-def _checked(
-    request: RunRequest, records: Iterable[dict], summary: Callable[[], dict]
-) -> ReportStream:
-    """The stream of a request's report: the header as built (its request
-    passed its check when it was made), each record once it passes its check
-    as it is read (the first one now), and the summary when asked for."""
-    header = {
-        "version": __version__,
-        "schema_version": SCHEMA_VERSION,
-        "request": _request_block(request),
-    }
+def _checked(request: RunRequest, records: Iterable[dict], summary: dict) -> dict:
+    """A request's report, keyed as the whole report is: the header as built
+    (its request passed its check when it was made), then ``runs``, which
+    yields each record once it passes its check (the first one now), then
+    ``summary``, which ``records`` completes as they are read and which is
+    checked once the last one has passed."""
     row = _ROW_FIELDS[request.mode]
 
     def runs() -> Iterator[dict]:
         for index, record in enumerate(records):
             yield _check(row, record, index, "runs")
+        _check(_SUMMARY, summary, "summary")
 
     checked = runs()
     first = list(itertools.islice(checked, 1))
-    return ReportStream(
-        header, itertools.chain(first, checked), lambda: _check(_SUMMARY, summary(), "summary")
-    )
+    return {
+        "version": __version__,
+        "schema_version": SCHEMA_VERSION,
+        "request": _request_block(request),
+        "runs": itertools.chain(first, checked),
+        "summary": summary,
+    }
 
 
 def validate_report(report: dict) -> None:
@@ -735,10 +712,6 @@ def _dumps(value, depth: int) -> str:
     return f"{opening}{indent}{inner}\n{'  ' * depth}{closing}"
 
 
-def _as_stream(report: dict | ReportStream) -> ReportStream:
-    return report if isinstance(report, ReportStream) else ReportStream.of(report)
-
-
 def _written(emit: Callable[[object, Write], None], report, write: Write | None):
     """Run ``emit`` on the report into ``write``; without one, return the text."""
     chunks: list[str] = []
@@ -746,26 +719,26 @@ def _written(emit: Callable[[object, Write], None], report, write: Write | None)
     return "".join(chunks) if write is None else None
 
 
-def _emit_json(report, write: Write) -> None:
-    stream = _as_stream(report)
+def _emit_json(report: dict, write: Write) -> None:
     header = "".join(
         f"\n  {_dumps(key, 1)}: {_dumps(value, 1)},"
-        for key, value in stream.header.items()
+        for key, value in report.items()
+        if key not in ("runs", "summary")
     )
     write("{" + header + '\n  "runs": [')
     separator = "\n    "
-    for record in stream.runs:
+    for record in report["runs"]:
         write(separator + _dumps(record, 2))
         separator = ",\n    "
     closing = "\n  ]" if separator[0] == "," else "]"
-    # The summary is asked for once the runs are written.
-    write(f'{closing},\n  "summary": {_dumps(stream.summary(), 1)}\n}}\n')
+    # The summary is complete once the runs are written.
+    write(f'{closing},\n  "summary": {_dumps(report["summary"], 1)}\n}}\n')
 
 
 def render_json(report, write: Write | None = None) -> str | None:
-    """A report, whole or a stream, as ``json.dumps(report, indent=2,
-    allow_nan=False)`` text and a final newline; given ``write``, the text
-    is passed to it one record at a time and None is returned."""
+    """A report as ``json.dumps(report, indent=2, allow_nan=False)`` text
+    and a final newline; given ``write``, the text is passed to it one
+    record at a time and None is returned."""
     return _written(_emit_json, report, write)
 
 
@@ -783,20 +756,20 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit_csv(report, write: Write) -> None:
+def _emit_csv(report: dict, write: Write) -> None:
     import csv  # json and text runs write no csv
 
-    stream = _as_stream(report)
     writer = csv.writer(SimpleNamespace(write=write), lineterminator="\n")
-    if stream.header["request"]["mode"] == "background":
+    if report["request"]["mode"] == "background":
         writer.writerow((*_BACKGROUND_FIELDS, "interval_lower", "interval_upper"))
-        interval = stream.summary()["interval"]
+        # Found before the first row, so complete before the runs are read.
+        interval = report["summary"]["interval"]
         bounds = [_csv_cell(interval["lower"]), _csv_cell(interval["upper"])]
-        for row in stream.runs:
+        for row in report["runs"]:
             writer.writerow([*(_csv_cell(row[name]) for name in _BACKGROUND_FIELDS), *bounds])
         return
     writer.writerow((*_RUN_CSV_COLUMNS, *_PAIR_FIELDS, "broadcast_ok"))
-    for record in stream.runs:
+    for record in report["runs"]:
         params, branches = record["params"], record["branches"]
         run_cells = (
             record["index"], params["alpha"], params["beta"], params["gamma"],
@@ -809,12 +782,11 @@ def _emit_csv(report, write: Write) -> None:
             [*head, *(_csv_cell(row[name]) for name in _PAIR_FIELDS), tail]
             for row in record["pairs"]
         )
-    stream.summary()  # checked, though the csv carries none of it
 
 
 def render_csv(report, write: Write | None = None) -> str | None:
-    """A report, whole or a stream, as csv text; given ``write``, each row
-    is passed to it as it is made and None is returned."""
+    """A report as csv text; given ``write``, each row is passed to it as
+    it is made and None is returned."""
     return _written(_emit_csv, report, write)
 
 
@@ -828,13 +800,11 @@ def _lines(lines: list[str], write: Write) -> None:
     write("\n".join(lines) + "\n")
 
 
-def _emit_text(report, write: Write) -> None:
-    stream = _as_stream(report)
-    request = stream.header["request"]
+def _emit_text(report: dict, write: Write) -> None:
+    request = report["request"]
     _lines(
         [
-            f"wbcast report v{stream.header['version']} "
-            f"(schema {stream.header['schema_version']})",
+            f"wbcast report v{report['version']} (schema {report['schema_version']})",
             f"mode: {request['mode']}",
         ],
         write,
@@ -843,7 +813,7 @@ def _emit_text(report, write: Write) -> None:
     if request["mode"] == "background":
         _lines(["", f"{'alpha_sq':>12}  {'nonlocal min PT':>18}  {'local min PT':>18}  verdicts"],
                write)
-        for row in stream.runs:
+        for row in report["runs"]:
             _lines(
                 [
                     f"{format15(row['alpha_sq']):>12}  "
@@ -853,7 +823,7 @@ def _emit_text(report, write: Write) -> None:
                 ],
                 write,
             )
-        interval = stream.summary()["interval"]
+        interval = report["summary"]["interval"]
         _lines(
             [
                 "",
@@ -864,7 +834,7 @@ def _emit_text(report, write: Write) -> None:
         )
         return
 
-    for record in stream.runs:
+    for record in report["runs"]:
         params = record["params"]
         lines = [
             "",
@@ -900,7 +870,7 @@ def _emit_text(report, write: Write) -> None:
         lines.append(f"  broadcast_ok: {'true' if record['broadcast_ok'] else 'false'}")
         _lines(lines, write)
 
-    summary = stream.summary()
+    summary = report["summary"]
     lines = [
         "",
         "paper claims comparison:",
@@ -921,14 +891,14 @@ def _emit_text(report, write: Write) -> None:
 
 
 def render_text(report, write: Write | None = None) -> str | None:
-    """A report, whole or a stream, as text; given ``write``, each run's
-    block is passed to it as it is made and None is returned."""
+    """A report as text; given ``write``, each run's block is passed to it
+    as it is made and None is returned."""
     return _written(_emit_text, report, write)
 
 
 def render(report, fmt: str, write: Write | None = None) -> str | None:
-    """The report, whole or a stream, as ``fmt`` text; given ``write``, that
-    text is passed to it part by part and None is returned."""
+    """The report as ``fmt`` text; given ``write``, that text is passed to
+    it part by part and None is returned."""
     if fmt == "json":
         return render_json(report, write)
     if fmt == "csv":

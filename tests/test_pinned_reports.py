@@ -5,7 +5,8 @@ invocation the benchmark can generate.  A few of them are replayed here
 in-process, so a change to any report byte fails tier-1, not only the
 benchmark.  The digest file is read, never written.  Reports the benchmark
 never generates (csv and text of ``background`` and ``sweep``, and the
-``single`` mode) and each mode's schema are pinned by digests stored here.
+``single`` mode in every format) and each mode's schema are pinned by
+digests stored here, so every mode and format the emitters write is pinned.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ STORED_DIGESTS = {
         "2df00fca5955fb2c2f3d2dab95072fcd61387312eb0a0d153d134f0551dccca3",
     f"{_SINGLE} --format csv":
         "7fea66c329c7084b56a671140cffd1294be3a4a0515eb404118e4642ec729748",
+    f"{_SINGLE} --format text":
+        "62b4d9b5ed0a75923e0796d4342a9ff7fd11dc5c0129b730f5b072b0ed6e19e1",
+    _SINGLE:
+        "e3e4bd2f82900fabd3d7e9dea5a63a6f2c8eda0ef3d120f2a2829e60e24600a9",
     f"{_SINGLE} --no-unitaries":
         "4b635c2ccc8861bdd699799e4d5cf504c0263fb2637b535330fff954df6ae0bb",
 }

@@ -70,6 +70,8 @@ REMOVED_MEMBERS = (
     (DensityMatrix, "stack"),
     # partial_trace reads a state or a stack of them.
     (registers, "partial_traces"),
+    # A runner returns the report itself, its runs streamed: one shape.
+    (report, "ReportStream"),
 )
 
 

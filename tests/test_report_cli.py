@@ -105,6 +105,25 @@ class TestNumericFormatting:
         assert fraction_note(0.12345678901) is None
 
 
+RUNNER_REQUESTS = [
+    RunRequest(mode="single", params=UNIFORM, branch1=UUU, branch2=UUU),
+    RunRequest(mode="branches", params=UNIFORM),
+    RunRequest(mode="sweep", sweep_count=2, seed=0),
+    RunRequest(mode="background", grid=100),
+]
+
+
+@pytest.mark.parametrize("request_", RUNNER_REQUESTS, ids=lambda r: r.mode)
+def test_runner_returns_the_report_keys_in_report_order(request_):
+    report = RUNNERS[request_.mode](request_)
+    keys = ["version", "schema_version", "request", "runs", "summary"]
+    assert list(report) == keys
+    whole = report_module.collect(report)
+    assert list(whole) == keys
+    assert list(report_module.report_schema(request_.mode)["properties"]) == keys
+    validate_report(whole)
+
+
 class TestSingleReport:
     def test_envelope(self, single_report):
         assert set(single_report) == {
@@ -285,6 +304,13 @@ class TestBranchesReport:
         assert branches_report["summary"]["probability_total"] == pytest.approx(
             1.0, abs=1e-10
         )
+
+    def test_summary_is_complete_once_the_runs_are_read(self):
+        report = RUNNERS["branches"](RunRequest(mode="branches", params=UNIFORM))
+        # The total is known only once the last record has passed.
+        assert "probability_total" not in report["summary"]
+        whole = report_module.collect(report)
+        assert whole["summary"]["probability_total"] == pytest.approx(1.0, abs=1e-10)
 
     def test_summary_counts(self, branches_report):
         summary = branches_report["summary"]
@@ -600,6 +626,48 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "'w3' is not finite (nan)" in captured.err
+
+    BRANCHES = ["branches", "--alpha", "0.6", "--beta", "0.48", "--gamma", "0.64"]
+
+    def _double_last_p2(self, monkeypatch):
+        """Double p2 of the DDD/DDD run, so that the 64 joint probabilities
+        sum to 1.0123..., which the branches total refuses."""
+
+        def doubled(transcript):
+            config = transcript.config
+            if str(config.branch1) == str(config.branch2) == "DDD":
+                return dataclasses.replace(transcript, p2=2 * transcript.p2)
+            return transcript
+
+        self._break_transcripts(monkeypatch, doubled)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_failed_probability_total_exit_4(self, fmt, tmp_path, capsys, monkeypatch):
+        self._double_last_p2(monkeypatch)
+        assert main(self.BRANCHES + ["--format", fmt]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "branch probabilities sum to 1.0123" in captured.err
+        # Every record was written before the total failed; no summary was.
+        out = captured.out
+        if fmt == "json":
+            assert out.count('\n      "index": ') == 64
+            assert '"summary"' not in out and '"runs": [' in out
+        elif fmt == "csv":
+            rows = list(csv.reader(io.StringIO(out)))
+            assert len(rows) == 1 + 64 * 11
+            assert rows[-1][:6] == ["63", "0.6", "0.48", "0.64", "DDD", "DDD"]
+        else:
+            assert sum(line.startswith("run ") for line in out.splitlines()) == 64
+            assert "broadcast_ok: " in out.splitlines()[-1]
+            assert "paper claims comparison:" not in out
+        # --out is replaced only by a whole report.
+        target = tmp_path / "report"
+        assert main(self.BRANCHES + ["--format", fmt, "--out", str(target)]) == 4
+        assert list(tmp_path.iterdir()) == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "branch probabilities sum to" in captured.err
 
     SWEEP_20 = ["sweep", "--sweep", "20", "--seed", "0"]
 

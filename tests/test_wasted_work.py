@@ -50,7 +50,6 @@ from wbcast.report import (
     BROADCAST_STACK_POINTS,
     PROTOCOL_STACK_RUNS,
     RUNNERS,
-    ReportStream,
     RunRequest,
     render,
     render_json,
@@ -187,7 +186,7 @@ def test_json_report_is_written_as_it_is_made(monkeypatch):
     size = len(render_json(report))
     # The runner streams the records already made, so that only the
     # writing is measured.
-    monkeypatch.setitem(RUNNERS, "sweep", lambda request: ReportStream.of(report))
+    monkeypatch.setitem(RUNNERS, "sweep", lambda request: report)
 
     tracemalloc.start()
     try:
